@@ -66,6 +66,7 @@ from .pipeline import (
     spherical_growth_series,
 )
 from .series import (
+    InvariantError,
     NonIntegralCoefficient,
     PowerSeries,
     RationalFunction,

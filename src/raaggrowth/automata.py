@@ -11,10 +11,13 @@ their encodings coincide.
 
 ``growth_series`` produces the generating function counting accepted words by
 length, as an exact integer rational function.  It works for any coefficient
-size: counts are computed with Python big ints, a candidate linear recurrence
-is found by Berlekamp-Massey over the rationals, and the candidate is then
-*proved* against the transition matrix (vector or full-sequence residual
-check) before the reduced fraction is returned.
+size: counts are computed with Python big ints, and every returned fraction is
+*proved* by one of two certificates.  First, a Berlekamp-Massey candidate
+recurrence is accepted when it annihilates the whole vector sequence A^n v of
+the trim transition matrix (a Krylov residual check).  When that residual is
+nonzero, a denominator and a numerator-degree bound are proved from the
+strongly connected components of the trim automaton (transfer-matrix method),
+and the numerator is read off that many counts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .graphs import OrderedAlphabet
-from .series import RationalFunction
+from .series import InvariantError, RationalFunction, poly_mul, poly_trim
 
 
 class AlphabetMismatch(ValueError):
@@ -517,8 +520,8 @@ def _berlekamp_massey(sequence):
             m += 1
     # the connection polynomial has degree <= L; keep exactly L+1 taps
     # (trailing zeros are meaningful: the recurrence order is L, not deg C)
-    for extra in C[L + 1:]:
-        assert extra == 0
+    if any(C[L + 1:]):
+        raise InvariantError("Berlekamp-Massey left nonzero taps past the recurrence order")
     del C[L + 1:]
     while len(C) < L + 1:
         C.append(Fraction(0))
@@ -557,28 +560,33 @@ class _TrimmedCounting:
         self.counts = [self.vector[self.initial]]
 
     def step_vector(self, y):
-        return [sum(y[t] for t in row) for row in self.outgoing]
+        return [sum(map(y.__getitem__, row)) for row in self.outgoing]
 
     def extend_to(self, k: int):
         while len(self.counts) <= k:
             self.vector = self.step_vector(self.vector)
             self.counts.append(self.vector[self.initial])
 
-    def krylov(self, depth: int):
-        """Vectors v, Mv, ..., M^depth v."""
-        out = [list(self.v0)]
-        for _ in range(depth):
-            out.append(self.step_vector(out[-1]))
-        return out
-
 
 def growth_series(dfa: Dfa) -> RationalFunction:
     """Exact rational generating function of the accepted-word counts.
 
-    A Berlekamp-Massey candidate recurrence is certified before use: either a
-    matrix-side residual vanishes (which proves the recurrence for every
-    degree), or the counts are extended to the unconditional cut-off
-    ``#trim states + order`` and checked term by term.
+    Let A be the transition matrix of the trim automaton, v the indicator of
+    its accepting states and e that of the initial state, so that the count
+    of length n is e A^n v and the series is F = e (I - zA)^{-1} v.  Two
+    certificates prove the returned fraction; neither can fail.
+
+    1. *Krylov.*  Berlekamp-Massey proposes a recurrence with connection
+       polynomial D of order L from the first counts.  If the vector
+       sum_m D[L-m] A^m v is zero, then D annihilates e A^n v for all n,
+       so D F is a polynomial of degree < L and is read off the counts.
+       This certifies most automata cheaply, but the residual is nonzero
+       whenever the initial state's sequence cancels a factor that the
+       vector sequence A^n v carries.
+    2. *Transfer matrix* (Stanley, EC1 §4.7), see ``_transfer_matrix_series``:
+       a denominator Q and a numerator degree bound N are proved from the
+       strongly connected components of the trim automaton, and the
+       numerator is Q F truncated at degree N.
     """
     dfa = minimize(dfa)
     work = _TrimmedCounting(dfa)
@@ -590,24 +598,14 @@ def growth_series(dfa: Dfa) -> RationalFunction:
         work.extend_to(window - 1)
         connection = _berlekamp_massey(work.counts[:window])
         order = len(connection) - 1
-        if 2 * order + 4 > window and window < 2 * work.n + 4:
-            window = min(max(window * 2, 2 * order + 8), 2 * work.n + 4)
-            continue
-        denominator = _fractions_to_int_poly(connection)
-        if _certified(work, denominator):
+        if 2 * order + 4 <= window or window >= 2 * work.n + 4:
             break
-        if window >= 2 * work.n + 4:
-            raise AssertionError("recurrence certification failed past the safe bound")
-        window = min(window * 2, 2 * work.n + 4)
-
-    order = len(denominator) - 1
-    numerator = []
-    for m in range(order):
-        acc = 0
-        for i in range(min(m, order) + 1):
-            acc += denominator[i] * work.counts[m - i]
-        numerator.append(acc)
-    return RationalFunction.make(numerator, denominator)
+        window = min(max(window * 2, 2 * order + 8), 2 * work.n + 4)
+    denominator = _fractions_to_int_poly(connection)
+    if not _krylov_annihilates(work, denominator):
+        return _transfer_matrix_series(work)
+    return RationalFunction.make(_truncated_product(denominator, work.counts, order - 1),
+                                 denominator)
 
 
 def _fractions_to_int_poly(fracs):
@@ -618,29 +616,161 @@ def _fractions_to_int_poly(fracs):
     return [int(c * lcm) for c in fracs]
 
 
-def _certified(work: _TrimmedCounting, denominator) -> bool:
-    """Prove that the candidate denominator annihilates the count sequence."""
-    order = len(denominator) - 1
-    if order == 0:
-        # an order-0 recurrence claims the zero series: check every count
-        work.extend_to(work.n + 1)
-        return all(c == 0 for c in work.counts)
-    krylov = work.krylov(order)
-    residual = [0] * work.n
-    for m, y in enumerate(krylov):
-        c = denominator[order - m]
-        if c:
-            for i in range(work.n):
-                residual[i] += c * y[i]
-    if all(r == 0 for r in residual):
-        return True
-    # fall back: verify term by term beyond the unconditional bound
-    limit = work.n + order + 1
-    work.extend_to(limit)
-    for n in range(order, limit + 1):
-        acc = 0
-        for i in range(order + 1):
-            acc += denominator[i] * work.counts[n - i]
-        if acc != 0:
-            return False
-    return True
+def _truncated_product(poly, counts, top: int):
+    """Coefficients 0..top of poly(z) * sum_n counts[n] z^n."""
+    return [
+        sum(poly[i] * counts[m - i] for i in range(min(m, len(poly) - 1) + 1))
+        for m in range(top + 1)
+    ]
+
+
+def _krylov_annihilates(work: _TrimmedCounting, denominator) -> bool:
+    """Whether sum_i D[i] A^(L-i) v = 0, by Horner's rule (D = denominator, L = order)."""
+    residual = [denominator[0] * x for x in work.v0]
+    for c in denominator[1:]:
+        residual = [r + c * x for r, x in zip(work.step_vector(residual), work.v0)]
+    return not any(residual)
+
+
+def _transfer_matrix_series(work: _TrimmedCounting) -> RationalFunction:
+    """Growth series proved from the component structure of the trim automaton.
+
+    Order the states by strongly connected component C, sinks first.  The
+    vector F_C of the series of C's states satisfies
+
+        F_C = (I - zA_C)^{-1} (v_C + z E_C F_out),
+
+    where A_C is the transition matrix inside C, v_C the acceptance vector of
+    C and E_C the edges from C to its successor components.  Write
+    det_C = det(I - zA_C) (1 if C has no internal edge).  By induction from
+    the sinks, every entry of F_s is P/Q_s with deg P <= N(s), where
+
+        Q_C = det_C * Q_out,   Q_out = prod f^e over the max-merge of the
+                                       successors' factor -> exponent maps,
+        N(C) = |C| - 1 + max(deg Q_out, 1 + max_s(N(s) + deg Q_out - deg Q_s)).
+
+    Proof of the step: (I - zA_C)^{-1} = adj(I - zA_C) / det_C, and each entry
+    of the adjugate is a minor of order |C| - 1 of a matrix whose entries are
+    polynomials of degree <= 1, so it has degree <= |C| - 1.  Every Q_s
+    divides Q_out, so v_C + z E_C F_out = (v_C Q_out + z E_C (P_s Q_out/Q_s))
+    / Q_out with numerator degree <= max(deg Q_out, 1 + N(s) + deg Q_out -
+    deg Q_s).  Multiplying by the adjugate adds |C| - 1.
+
+    With C0 the initial state's component, Q = Q_{C0} has Q(0) = 1 and Q F is
+    a polynomial of degree <= N = N(C0), so it equals Q F truncated at N,
+    computed from the first N + 1 counts.  The fraction is exact without any
+    further check; ``RationalFunction.make`` reduces it.
+    """
+    components = _strongly_connected_components(work.outgoing)
+    component_of = [0] * work.n
+    for k, states in enumerate(components):
+        for q in states:
+            component_of[q] = k
+    determinants = {}  # row structure -> det(I - zA_C); components repeat
+    factors = []       # per component: det polynomial -> exponent in Q_C
+    degrees = []       # per component: deg Q_C
+    bounds = []        # per component: N(C)
+    for k, states in enumerate(components):
+        local = {q: i for i, q in enumerate(states)}
+        rows = tuple(
+            tuple(sorted(local[t] for t in work.outgoing[q] if component_of[t] == k))
+            for q in states
+        )
+        successors = {component_of[t] for q in states for t in work.outgoing[q]} - {k}
+        merged = {}
+        for s in successors:
+            for f, e in factors[s].items():
+                if e > merged.get(f, 0):
+                    merged[f] = e
+        degree_out = sum(e * (len(f) - 1) for f, e in merged.items())
+        inner = degree_out
+        for s in successors:
+            inner = max(inner, 1 + bounds[s] + degree_out - degrees[s])
+        bounds.append(len(states) - 1 + inner)
+        if any(rows):
+            if rows not in determinants:
+                determinants[rows] = _det_one_minus_z(rows)
+            det = determinants[rows]
+            merged[det] = merged.get(det, 0) + 1
+            degree_out += len(det) - 1
+        factors.append(merged)
+        degrees.append(degree_out)
+
+    top = component_of[work.initial]
+    denominator = [1]
+    for f, e in factors[top].items():
+        for _ in range(e):
+            denominator = poly_mul(denominator, f)
+    work.extend_to(bounds[top])
+    return RationalFunction.make(_truncated_product(denominator, work.counts, bounds[top]),
+                                 denominator)
+
+
+def _strongly_connected_components(outgoing):
+    """Tarjan's algorithm without recursion; components come out sinks first."""
+    n = len(outgoing)
+    number = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if number[root] >= 0:
+            continue
+        frames = [(root, 0)]
+        while frames:
+            v, i = frames.pop()
+            if i == 0:
+                number[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            row = outgoing[v]
+            while i < len(row):
+                w = row[i]
+                i += 1
+                if number[w] < 0:
+                    frames.append((v, i))
+                    frames.append((w, 0))
+                    break
+                if on_stack[w] and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                if low[v] == number[v]:
+                    states = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        states.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(states))
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+    return components
+
+
+def _det_one_minus_z(rows) -> tuple:
+    """det(I - zA) by Faddeev-LeVerrier over the integers.
+
+    ``rows[i]`` lists the column of every unit entry of row i of A (repeated
+    for multiplicity).  With M_1 = I, the characteristic polynomial
+    sum_k c_k x^k of A has c_{n-k} = -tr(A M_k)/k and M_{k+1} = A M_k +
+    c_{n-k} I; then det(I - zA) = sum_k c_{n-k} z^k.
+    """
+    n = len(rows)
+    coefficients = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(column) for column in zip(*[m[j] for j in row])] if row else [0] * n
+              for row in rows]
+        trace = sum(am[i][i] for i in range(n))
+        if trace % k:
+            raise InvariantError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
+        c = -(trace // k)
+        coefficients.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return tuple(poly_trim(coefficients))

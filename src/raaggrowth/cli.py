@@ -3,7 +3,9 @@
 Subcommands expose the series endpoints, the brute-force oracle, and the two
 counting operators.  Output is JSON with big integers rendered as decimal
 strings; ``--pretty`` switches to a short text rendering.  Exit status is 0
-only when the computation succeeded and every requested cross-check passed.
+only when the computation succeeded and every requested cross-check passed;
+it is 1 for bad input or a failed cross-check and ``EXIT_INVARIANT`` (3) when
+an internal invariant fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .pipeline import (
     spherical_conj_series,
     spherical_growth_series,
 )
-from .series import NonIntegralCoefficient, PowerSeries, neck, rho
+from .series import InvariantError, NonIntegralCoefficient, PowerSeries, neck, rho
+
+EXIT_INVARIANT = 3  # an internal invariant failed; 1 is bad input, 2 is argparse usage
 
 
 def _load_graph(path: str):
@@ -219,6 +223,9 @@ def main(argv=None) -> int:
     except (GraphError, OracleBound, NonIntegralCoefficient, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

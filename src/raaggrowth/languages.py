@@ -25,7 +25,6 @@ from .automata import (
     Dfa,
     all_words_dfa,
     complement_lang,
-    count_words,
     cyc_perm,
     growth_series,
     intersect,
@@ -187,7 +186,8 @@ def cycsl_support_series(g: SimpleGraph, subset, max_degree: int):
         raise GraphError(f"subset {subset} is decomposable")
     induced = g.induced_subgraph(subset)
     full_support = support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
-    return growth_series(full_support), count_words(full_support, max_degree)
+    rf = growth_series(full_support)
+    return rf, rf.expand(max_degree)
 
 
 def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .automata import count_words, growth_series
+from .automata import growth_series
 from .graphs import GraphError, SimpleGraph, isomorphism_key
 from .languages import (
     conjgeo_fsa,
@@ -25,7 +25,7 @@ from .languages import (
     geo_fsa,
     shortlex_fsa,
 )
-from .series import PowerSeries, RationalFunction, neck, rho
+from .series import InvariantError, PowerSeries, RationalFunction, neck, poly_mul, rho
 
 
 @dataclass
@@ -93,8 +93,7 @@ def spherical_conj_series(
         started = time.perf_counter()
         automaton = cycsl_support_fsa(g, block)
         rf = growth_series(automaton)
-        counts = count_words(automaton, degree)
-        rho_series = rho(PowerSeries(tuple(counts)))
+        rho_series = rho(rf.expand(degree))
         per_subset[block] = (rf, rho_series)
         automaton_states[block] = automaton.n_states
         timings[block] = time.perf_counter() - started
@@ -110,7 +109,8 @@ def spherical_conj_series(
             product = product * block_rho(block)
         total = total + product
 
-    assert total[0] == 1 and all(c >= 0 for c in total.coefficients)
+    if total[0] != 1 or any(c < 0 for c in total.coefficients):
+        raise InvariantError("sigma~ must have constant term 1 and nonnegative coefficients")
     return ConjGrowthReport(g, degree, total, per_subset, automaton_states, timings)
 
 
@@ -168,7 +168,7 @@ def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
             raise ValueError("free rank must be >= 1")
         total = _rf((1, 2 * k - 1), _ONE_MINUS_Z).expand(degree)
         for j in range(1, k):
-            den = _poly_mul_small(_ONE_MINUS_Z, (1, -(2 * j - 1)))
+            den = poly_mul(_ONE_MINUS_Z, (1, -(2 * j - 1)))
             total = total + neck(_rf((0, 0, 4 * j), den).expand(degree))
         return total
 
@@ -182,21 +182,13 @@ def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
         return loop + abelian + neck(arg)
 
     if expr == "path4":
-        head = _rf((1, 6, 5), _poly_mul_small(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree)
+        head = _rf((1, 6, 5), poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree)
         factor = _rf((1, 3), _ONE_MINUS_Z).expand(degree)
-        neck1 = neck(_rf((0, 0, 4), _poly_mul_small(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree))
-        neck2 = neck(_rf((0, 0, 8), _poly_mul_small(_ONE_MINUS_Z, (1, -3))).expand(degree))
+        neck1 = neck(_rf((0, 0, 4), poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree))
+        neck2 = neck(_rf((0, 0, 8), poly_mul(_ONE_MINUS_Z, (1, -3))).expand(degree))
         return head + factor * neck1 + neck2
 
     raise ValueError(f"unknown closed-form family {expr!r}")
-
-
-def _poly_mul_small(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def detect_part1_family(g: SimpleGraph) -> str | None:

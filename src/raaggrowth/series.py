@@ -31,6 +31,10 @@ class NonIntegralCoefficient(ArithmeticError):
     """
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant of a computation failed: a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # integer polynomials as coefficient lists (ascending degree)
 # ---------------------------------------------------------------------------
@@ -304,17 +308,16 @@ class RationalFunction:
         """Taylor coefficients to ``max_degree`` via the linear recurrence."""
         if self.den[0] == 0:
             raise ZeroDivisionError("denominator constant term is zero")
-        d0 = Fraction(self.den[0])
+        d0 = self.den[0]
         out = []
         for n in range(max_degree + 1):
-            acc = Fraction(self.num[n]) if n < len(self.num) else Fraction(0)
+            acc = self.num[n] if n < len(self.num) else 0
             for i in range(1, min(n, len(self.den) - 1) + 1):
                 acc -= self.den[i] * out[n - i]
-            acc /= d0
-            out.append(acc)
-        if any(c.denominator != 1 for c in out):
-            raise NonIntegralCoefficient("expansion has non-integer coefficients")
-        return PowerSeries(tuple(int(c) for c in out))
+            if acc % d0:
+                raise NonIntegralCoefficient("expansion has non-integer coefficients")
+            out.append(acc // d0)
+        return PowerSeries(tuple(out))
 
     def to_json_dict(self) -> dict:
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}

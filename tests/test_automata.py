@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from raaggrowth import automata
 from raaggrowth import (
     AlphabetMismatch,
     Dfa,
@@ -216,6 +217,49 @@ def test_growth_series_of_zn_shortlex():
 def test_growth_series_expansion_matches_counts(d):
     rf = growth_series(d)
     assert rf.expand(20).coefficients == tuple(count_words(d, 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_dfas(max_states=8))
+def test_transfer_matrix_series_matches_counts(d):
+    work = automata._TrimmedCounting(d)
+    assume(not work.empty)
+    rf = automata._transfer_matrix_series(work)
+    assert rf.expand(40).coefficients == tuple(count_words(d, 40))
+
+
+def test_transfer_matrix_series_repeated_component():
+    # a* A a* A a*: three components with the same determinant 1-z in a chain,
+    # so the denominator needs (1-z)^3, not the max-merge alone
+    d = Dfa(A1, 4, [0, 1, 1, 2, 2, 3, 3, 3], 0, {2})
+    rf = automata._transfer_matrix_series(automata._TrimmedCounting(d))
+    assert (rf.num, rf.den) == ((0, 0, 1), (1, -3, 3, -1))
+
+
+def test_det_one_minus_z_small_components():
+    assert automata._det_one_minus_z(((0, 0),)) == (1, -2)         # loop of multiplicity 2
+    assert automata._det_one_minus_z(((1,), (0,))) == (1, 0, -1)   # 2-cycle
+    assert automata._det_one_minus_z(((0, 1), (0,))) == (1, -1, -1)  # Fibonacci
+
+
+def test_growth_series_reduces_factor_cancelled_at_initial_state(monkeypatch):
+    # 0 -a-> 1 <-a-> 2 <-A- 0, accepting {1}, every other move to the sink 3.
+    # From 1 the series is 1/(1-z^2), from 2 it is z/(1-z^2); the initial
+    # state sees their sum z/(1-z), so the vector sequence carries the factor
+    # 1+z that the count sequence cancels and the Krylov residual is nonzero.
+    d = Dfa(A1, 4, [1, 2, 2, 3, 1, 3, 3, 3], 0, {1})
+    assert list(count_words(d, 6)) == [0, 1, 1, 1, 1, 1, 1]
+    routes = []
+    original = automata._transfer_matrix_series
+
+    def spy(work):
+        routes.append(work.n)
+        return original(work)
+
+    monkeypatch.setattr(automata, "_transfer_matrix_series", spy)
+    rf = growth_series(d)
+    assert routes == [3]
+    assert (rf.num, rf.den) == ((0, 1), (1, -1))
 
 
 # -- minimization and equivalence ----------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from raaggrowth.cli import main
+from raaggrowth import pipeline
+from raaggrowth.cli import EXIT_INVARIANT, main
+from raaggrowth.series import PowerSeries
 
 
 @pytest.fixture
@@ -31,6 +33,15 @@ def test_conj_growth_z2(capsys, z2_file):
     doc = json.loads(out)
     assert doc["sigma_tilde"] == ["1", "4", "8", "12", "16", "20", "24"]
     assert "per_subset" not in doc
+
+
+def test_conj_growth_invariant_failure_exit_code(capsys, monkeypatch, z2_file):
+    # a rho that returns negative counts breaks the invariant on sigma~
+    monkeypatch.setattr(pipeline, "rho", lambda f: PowerSeries(tuple(-c for c in f.coefficients)))
+    code = main(["conj-growth", "--graph", z2_file, "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT and EXIT_INVARIANT not in (0, 1, 2)
+    assert captured.out == "" and "internal error" in captured.err
 
 
 def test_conj_growth_per_subset(capsys, z2_file):
