@@ -571,10 +571,13 @@ class _TrimmedCounting:
 def growth_series(dfa: Dfa) -> RationalFunction:
     """Exact rational generating function of the accepted-word counts.
 
-    Let A be the transition matrix of the trim automaton, v the indicator of
-    its accepting states and e that of the initial state, so that the count
-    of length n is e A^n v and the series is F = e (I - zA)^{-1} v.  Two
-    certificates prove the returned fraction; neither can fail.
+    Any complete DFA is accepted; it need not be minimal, since both
+    certificates below are proofs for any automaton and the counting works
+    on its trim part.  Let A be the transition matrix of the trim automaton,
+    v the indicator of its accepting states and e that of the initial state,
+    so that the count of length n is e A^n v and the series is
+    F = e (I - zA)^{-1} v.  Two certificates prove the returned fraction;
+    neither can fail.
 
     1. *Krylov.*  Berlekamp-Massey proposes a recurrence with connection
        polynomial D of order L from the first counts.  If the vector
@@ -588,7 +591,6 @@ def growth_series(dfa: Dfa) -> RationalFunction:
        strongly connected components of the trim automaton, and the
        numerator is Q F truncated at degree N.
     """
-    dfa = minimize(dfa)
     work = _TrimmedCounting(dfa)
     if work.empty:
         return RationalFunction.make([0])

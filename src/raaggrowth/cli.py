@@ -27,6 +27,7 @@ from .pipeline import (
 from .series import InvariantError, NonIntegralCoefficient, PowerSeries, neck, rho
 
 EXIT_INVARIANT = 3  # an internal invariant failed; 1 is bad input, 2 is argparse usage
+MAX_DEGREE = 5000  # upper bound on --max-degree and --expand, checked before any work
 
 
 def _load_graph(path: str):
@@ -45,7 +46,10 @@ def _parse_series_argument(text: str) -> PowerSeries:
         raise ValueError(f"series must be a JSON array: {exc}") from None
     if not isinstance(values, list) or not values:
         raise ValueError("series must be a nonempty JSON array of integers")
-    return PowerSeries.from_list(int(v) for v in values)
+    for v in values:
+        if type(v) is not int:  # bool is an int subclass; floats and strings are not coerced
+            raise ValueError(f"series coefficients must be JSON integers, got {json.dumps(v)}")
+    return PowerSeries.from_list(values)
 
 
 def _emit(doc: dict, pretty: bool):
@@ -218,6 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag in ("max_degree", "expand"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0 <= value <= MAX_DEGREE:
+            option = "--" + flag.replace("_", "-")
+            print(f"error: {option} must be between 0 and {MAX_DEGREE}, got {value}", file=sys.stderr)
+            return 1
     try:
         return args.handler(args)
     except (GraphError, OracleBound, NonIntegralCoefficient, ValueError) as exc:

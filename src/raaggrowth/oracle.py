@@ -1,14 +1,29 @@
 """Brute-force ground truth at desk scale, independent of the automata.
 
-Words are tuples of letters.  Normal forms are computed by exhaustive
-cancellation followed by greedy extraction of the least front-movable letter
-(the lexicographically least representative of the shuffle class).  Conjugacy
-data comes from explicit rotation/shuffle searches.  Everything here is
-deliberately naive and capped; it exists to validate the automata pipeline,
-so it must not share code with it.
+Words are tuples of letters; letter x belongs to vertex ``x >> 1`` and
+``x ^ 1`` is its inverse.  For each vertex v the *blocker mask* holds v and
+the non-neighbours of v: the vertices whose letters a letter of v cannot be
+shuffled past.  It is computed once per graph.
+
+* Normal forms by stack insertion: each new letter scans the normal form
+  built so far backwards to the last letter that blocks it.  It cancels
+  that letter if it is its inverse, and otherwise goes in front of the
+  first greater letter after it.  The word stays the shortlex least of its
+  shuffle class, i.e. the greedy order that always emits the least letter
+  whose vertex no earlier letter blocks.
+* Cyclic reduction by peeling: a reduced word is cyclically reduced exactly
+  when no letter x that can be shuffled to the front has an inverse that can
+  be shuffled to the back; such pairs are removed until none is left.
+* Still brute force: conjugacy classes are the closure of one minimal-length
+  word under rotations and commuting transpositions, and the enumerations
+  sweep every element up to a capped length.
+
+It exists to validate the automata pipeline, so it shares no code with it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .graphs import SimpleGraph
 
@@ -30,50 +45,58 @@ def _check_cap(n: int):
 # normal forms
 # ---------------------------------------------------------------------------
 
-def _cancel_once(g: SimpleGraph, word):
-    """Remove one cancelling pair x ... x^-1 whose gap commutes with x."""
-    alphabet = g.alphabet()
-    for i, x in enumerate(word):
-        v = alphabet.vertex(x)
-        inverse = alphabet.inverse(x)
-        for j in range(i + 1, len(word)):
-            w = alphabet.vertex(word[j])
-            if word[j] == inverse:
-                return word[:i] + word[i + 1:j] + word[j + 1:]
-            if w != v and not g.adjacent(v, w):
-                break  # this letter sits between any farther pair as well
-    return None
+@lru_cache(maxsize=256)
+def _blockers(g: SimpleGraph) -> tuple[int, ...]:
+    """Per vertex v, the bitmask of v and the non-neighbours of v."""
+    masks = [(1 << len(g.vertices)) - 1] * len(g.vertices)
+    for i, j in g.edges:
+        masks[i] &= ~(1 << j)
+        masks[j] &= ~(1 << i)
+    return tuple(masks)
+
+
+def _shortlex(blockers, word) -> list:
+    """Shortlex normal form of ``word``, built one letter at a time.
+
+    The list ``out`` is always in normal form.  A new letter x scans ``out``
+    backwards to the last letter that blocks it.  If that letter is x^-1,
+    the two cancel.  Otherwise x joins the piece of ``out`` after that letter,
+    all of which commutes with x, and goes in front of the first letter
+    there that is greater than x: greedily emitting the least letter whose
+    vertex no earlier letter blocks yields ``out`` with x exactly there.
+    Deleting x^-1 likewise leaves the rest of ``out`` in greedy order, since
+    no later letter waits for it.
+    """
+    out = []
+    for x in word:
+        stop = blockers[x >> 1]
+        k = len(out) - 1
+        while k >= 0 and not stop >> (out[k] >> 1) & 1:
+            k -= 1
+        if k >= 0 and out[k] == x ^ 1:
+            del out[k]
+            continue
+        k += 1
+        while k < len(out) and out[k] < x:
+            k += 1
+        out.insert(k, x)
+    return out
+
+
+def _front_movable(blockers, letters) -> dict:
+    """Position of each letter that can be shuffled to the front of ``letters``."""
+    movable = {}
+    seen = 0  # OR of the blockers of the letters scanned so far
+    for p, x in enumerate(letters):
+        if not seen >> (x >> 1) & 1:
+            movable[x] = p
+        seen |= blockers[x >> 1]
+    return movable
 
 
 def normal_form(g: SimpleGraph, word) -> tuple:
-    """Shortlex normal form of the group element spelled by ``word``.
-
-    First cancels generator/inverse pairs (allowed whenever everything in
-    between commutes with the cancelling vertex, same-vertex letters
-    included), then repeatedly emits the least letter that can be shuffled to
-    the front.
-    """
-    alphabet = g.alphabet()
-    word = tuple(word)
-    while True:
-        shorter = _cancel_once(g, word)
-        if shorter is None:
-            break
-        word = shorter
-    remaining = list(word)
-    out = []
-    while remaining:
-        best = None
-        for p, x in enumerate(remaining):
-            v = alphabet.vertex(x)
-            movable = all(
-                alphabet.vertex(y) != v and g.adjacent(alphabet.vertex(y), v)
-                for y in remaining[:p]
-            )
-            if movable and (best is None or x < remaining[best]):
-                best = p
-        out.append(remaining.pop(best))
-    return tuple(out)
+    """Shortlex normal form of the group element spelled by ``word``."""
+    return tuple(_shortlex(_blockers(g), word))
 
 
 def is_geodesic(g: SimpleGraph, word) -> bool:
@@ -93,20 +116,24 @@ def _rotations(word):
 
 
 def cyclically_reduce(g: SimpleGraph, word) -> tuple:
-    """Rotate and renormalize until no rotation shortens the word.
+    """A minimal-length conjugate of ``word``, in normal form.
 
-    The fixed point has every rotation geodesic, so its length is the minimal
-    length in the conjugacy class.
+    Reduce the word, then peel: while some front-movable letter x has a
+    back-movable inverse, the word is x u x^-1 up to shuffles and conjugates
+    to u, so both letters go.  A reduced word with no such pair is
+    cyclically reduced, hence of minimal length in its conjugacy class.
     """
-    word = normal_form(g, word)
+    blockers = _blockers(g)
+    letters = _shortlex(blockers, word)
     while True:
-        for rotated in _rotations(word):
-            candidate = normal_form(g, rotated)
-            if len(candidate) < len(word):
-                word = candidate
+        back = _front_movable(blockers, letters[::-1])
+        for x, p in _front_movable(blockers, letters).items():
+            if x ^ 1 in back:
+                # the inverse sits after x, since it blocks x
+                del letters[len(letters) - 1 - back[x ^ 1]], letters[p]
                 break
         else:
-            return word
+            return tuple(_shortlex(blockers, letters))
 
 
 def conjugacy_min_length(g: SimpleGraph, word) -> int:
@@ -117,15 +144,16 @@ def is_conjugacy_geodesic(g: SimpleGraph, word) -> bool:
     return conjugacy_min_length(g, word) == len(word)
 
 
-def conjugacy_class_words(g: SimpleGraph, word) -> frozenset:
+def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:
     """All minimal-length words in the conjugacy class of ``word``.
 
-    Breadth-first closure of one cyclically reduced representative under
-    single-letter rotation and single adjacent-vertex transposition; conjugate
-    minimal words are connected by interleaved rotations and shuffles.
+    Closure of one cyclically reduced representative under single-letter
+    rotation and single transposition of commuting letters; conjugate minimal
+    words are connected by interleaved rotations and shuffles.  ``_reduced``
+    says that ``word`` is already cyclically reduced.
     """
-    alphabet = g.alphabet()
-    start = cyclically_reduce(g, word)
+    blockers = _blockers(g)
+    start = tuple(word) if _reduced else cyclically_reduce(g, word)
     if not start:
         return frozenset({start})
     seen = {start}
@@ -138,8 +166,7 @@ def conjugacy_class_words(g: SimpleGraph, word) -> frozenset:
             stack.append(nxt)
         for k in range(len(w) - 1):
             a, b = w[k], w[k + 1]
-            va, vb = alphabet.vertex(a), alphabet.vertex(b)
-            if va != vb and g.adjacent(va, vb):
+            if not blockers[a >> 1] >> (b >> 1) & 1:
                 swapped = w[:k] + (b, a) + w[k + 2:]
                 if swapped not in seen:
                     seen.add(swapped)
@@ -152,7 +179,7 @@ def conjugacy_key(g: SimpleGraph, word, _cache=None) -> tuple:
     start = cyclically_reduce(g, word)
     if _cache is not None and start in _cache:
         return _cache[start]
-    closure = conjugacy_class_words(g, start)
+    closure = conjugacy_class_words(g, start, _reduced=True)
     key = min(closure)
     if _cache is not None:
         for member in closure:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from raaggrowth import pipeline
-from raaggrowth.cli import EXIT_INVARIANT, main
+from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, main
 from raaggrowth.series import PowerSeries
 
 
@@ -118,6 +118,25 @@ def test_rho_rejects_bad_input(capsys):
     assert code == 1
     code, _ = run(capsys, "rho", "--series", "[0,0,1]")
     assert code == 1  # non-integral coefficient surfaced
+
+
+@pytest.mark.parametrize("value", ["2.7", "2.0", '"3"', "true", "null", "[2]", '{"c": 2}'])
+def test_series_rejects_non_integer_values(capsys, value):
+    code = main(["rho", "--series", f"[0, {value}, 2, 2]"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("conj-growth", "--max-degree", "100000000000"),
+    ("std-growth", "--expand", str(MAX_DEGREE + 1)),
+])
+def test_degree_bound_checked_before_any_work(capsys, z2_file, command, option, value):
+    code = main([command, "--graph", z2_file, option, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith(f"error: {option}")
 
 
 def test_neck_utility(capsys):

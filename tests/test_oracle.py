@@ -1,12 +1,16 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import naive_oracle
 from conftest import complete_graph
-from raaggrowth import SimpleGraph
+from raaggrowth import SimpleGraph, oracle
 from raaggrowth.oracle import (
     OracleBound,
+    conjugacy_class_words,
     conjugacy_key,
     conjugacy_min_length,
     cyclically_reduce,
@@ -101,6 +105,44 @@ def test_normal_form_is_rewriting_reachable(length):
         assert all(normal_form(g, u) == nf for u in closure)
 
 
+@st.composite
+def graphs_and_words(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    g = SimpleGraph.make([chr(ord("a") + i) for i in range(n)], edges)
+    word = tuple(draw(st.lists(st.integers(0, 2 * n - 1), max_size=10)))
+    return g, word
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_words())
+def test_bitmask_oracle_matches_naive_definitions(case):
+    g, word = case
+    assert normal_form(g, word) == naive_oracle.normal_form(g, word)
+    reduced = cyclically_reduce(g, word)
+    assert len(reduced) == len(naive_oracle.cyclically_reduce(g, word))
+    assert normal_form(g, reduced) == reduced
+    assert conjugacy_key(g, word) == naive_oracle.conjugacy_key(g, word)
+
+
+def test_oracle_imports_no_automata_code():
+    # the oracle validates the automata, so it may use only .graphs and the stdlib
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    forbidden = {"raaggrowth", "automata", "languages", "pipeline", "series"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module == "graphs", ast.unparse(node)
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert not forbidden & set(name.split(".")), ast.unparse(node)
+
+
 # -- conjugacy -------------------------------------------------------------------
 
 def test_cyclic_reduction(f2):
@@ -109,10 +151,28 @@ def test_cyclic_reduction(f2):
     assert conjugacy_min_length(f2, (0, 2, 1)) == 1
 
 
+def test_cyclic_reduction_renormalizes_after_peeling():
+    # path a - b - c: peeling c ... c^-1 off b c a c^-1 leaves b a, whose
+    # normal form is a b
+    g = SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+    a, b, c = 0, 2, 4
+    assert cyclically_reduce(g, (b, c, a, c ^ 1)) == (a, b)
+
+
 def test_conjugacy_geodesic_membership(f2):
     assert is_conjugacy_geodesic(f2, (0, 2))
     assert not is_conjugacy_geodesic(f2, (0, 2, 1))
     assert is_conjugacy_geodesic(f2, ())
+
+
+def test_conjugacy_class_words_reduces_its_argument(path4):
+    alph = path4.alphabet()
+    a, b, c = alph.positive(0), alph.positive(1), alph.positive(2)
+    word = (b, a, c, alph.inverse(c), alph.inverse(a), b)  # unreduced; conjugate to b b
+    assert normal_form(path4, word) != word
+    closure = conjugacy_class_words(path4, word)
+    assert closure == conjugacy_class_words(path4, normal_form(path4, word))
+    assert closure == {(b, b)}
 
 
 def test_conjugacy_key_identifies_conjugates(path4):
