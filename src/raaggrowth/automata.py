@@ -22,7 +22,6 @@ and the numerator is read off that many counts.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -170,104 +169,89 @@ def single_word_dfa(alphabet: OrderedAlphabet, word) -> Dfa:
 # minimization and canonical form
 # ---------------------------------------------------------------------------
 
-def _restrict_reachable(dfa: Dfa) -> Dfa:
-    size = dfa.alphabet.size
-    order = [dfa.initial]
-    index = {dfa.initial: 0}
-    for q in order:
-        base = q * size
-        for x in range(size):
-            t = dfa.transitions[base + x]
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    table = []
-    for q in order:
-        base = q * size
-        table.extend(index[dfa.transitions[base + x]] for x in range(size))
-    accepting = {index[q] for q in dfa.accepting if q in index}
-    return Dfa(dfa.alphabet, len(order), table, 0, accepting)
-
-
 def minimize(dfa: Dfa) -> Dfa:
-    """Unique minimal complete DFA with canonical breadth-first numbering."""
-    dfa = _restrict_reachable(dfa)
+    """Unique minimal complete DFA with canonical breadth-first numbering.
+
+    Hopcroft's partition refinement runs on all states, reachable or not:
+    the coarsest congruence separating accepting from rejecting states is
+    language equivalence, and restricted to the reachable states it is the
+    Myhill-Nerode quotient.  The breadth-first renumbering from the initial
+    block then keeps exactly the reachable blocks.
+    """
     n = dfa.n_states
     size = dfa.alphabet.size
+    transitions = dfa.transitions
     if n == 0:
         return dfa
 
-    # Hopcroft partition refinement
-    incoming = [[[] for _ in range(n)] for _ in range(size)]
-    for q in range(n):
-        base = q * size
-        for x in range(size):
-            incoming[x][dfa.transitions[base + x]].append(q)
+    # Hopcroft partition refinement.  A DFA lists each state once among the
+    # predecessors of its successor under a letter, so a splitter's preimage
+    # under a letter has no repeats and is grouped by block straight away.
+    incoming = []
+    for x in range(size):
+        predecessors = [[] for _ in range(n)]
+        for p, t in enumerate(transitions[x::size]):
+            predecessors[t].append(p)
+        incoming.append(predecessors)
 
-    accepting = set(dfa.accepting)
+    accepting = dfa.accepting
     rest = set(range(n)) - accepting
-    partition = []
-    if accepting:
-        partition.append(set(accepting))
-    if rest:
-        partition.append(set(rest))
+    partition = [block for block in (set(accepting), rest) if block]
     block_of = [0] * n
     for b, block in enumerate(partition):
         for q in block:
             block_of[q] = b
-    work = deque(range(len(partition)))
-    in_work = [True] * len(partition)
+    # refining by one of the two initial blocks refines by the other as well
+    smallest = min(range(len(partition)), key=lambda b: len(partition[b]))
+    work = [smallest]
+    in_work = [False] * len(partition)
+    in_work[smallest] = True
 
     while work:
-        a = work.popleft()
+        a = work.pop()
         in_work[a] = False
         splitter = list(partition[a])
-        for x in range(size):
-            preimage = set()
-            for q in splitter:
-                preimage.update(incoming[x][q])
-            if not preimage:
-                continue
+        for predecessors in incoming:
             touched = {}
-            for p in preimage:
-                touched.setdefault(block_of[p], set()).add(p)
+            for q in splitter:
+                for p in predecessors[q]:
+                    b = block_of[p]
+                    if b in touched:
+                        touched[b].append(p)
+                    else:
+                        touched[b] = [p]
             for b, inside in touched.items():
                 block = partition[b]
                 if len(inside) == len(block):
                     continue
-                block -= inside
+                block.difference_update(inside)
                 new_index = len(partition)
-                partition.append(inside)
-                in_work.append(False)
+                partition.append(set(inside))
                 for p in inside:
                     block_of[p] = new_index
-                if in_work[b]:
-                    work.append(new_index)
-                    in_work[new_index] = True
-                else:
-                    smaller = new_index if len(inside) <= len(block) else b
-                    work.append(smaller)
-                    in_work[smaller] = True
+                in_work.append(False)
+                # a waiting block needs both halves queued, otherwise the smaller
+                queued = new_index if in_work[b] or len(inside) <= len(block) else b
+                work.append(queued)
+                in_work[queued] = True
 
-    # canonical BFS renumbering of the quotient
-    rep_delta = {}
-    for b, block in enumerate(partition):
-        q = next(iter(block))
-        base = q * size
-        rep_delta[b] = [block_of[dfa.transitions[base + x]] for x in range(size)]
+    # canonical BFS renumbering of the blocks reachable from the initial one
+    number = [-1] * len(partition)
     start = block_of[dfa.initial]
+    number[start] = 0
     order = [start]
-    number = {start: 0}
+    table = []
+    accepting_blocks = []
     for b in order:
-        for x in range(size):
-            t = rep_delta[b][x]
-            if t not in number:
+        q = next(iter(partition[b]))
+        if q in accepting:
+            accepting_blocks.append(number[b])
+        for t in transitions[q * size:(q + 1) * size]:
+            t = block_of[t]
+            if number[t] < 0:
                 number[t] = len(order)
                 order.append(t)
-    table = []
-    for b in order:
-        table.extend(number[t] for t in rep_delta[b])
-    accepting_blocks = {number[block_of[q]] for q in dfa.accepting}
+            table.append(number[t])
     return Dfa(dfa.alphabet, len(order), table, 0, accepting_blocks)
 
 
@@ -284,19 +268,18 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 def _product(a: Dfa, b: Dfa, keep) -> Dfa:
     _require_same_alphabet(a, b)
     size = a.alphabet.size
+    rows_a, rows_b = a.transitions, b.transitions
     start = (a.initial, b.initial)
     index = {start: 0}
     order = [start]
     table = []
     for p, q in order:
-        pa = p * size
-        qb = q * size
-        for x in range(size):
-            t = (a.transitions[pa + x], b.transitions[qb + x])
-            if t not in index:
-                index[t] = len(order)
+        for t in zip(rows_a[p * size:(p + 1) * size], rows_b[q * size:(q + 1) * size]):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
                 order.append(t)
-            table.append(index[t])
+            table.append(i)
     accepting = {
         i for i, (p, q) in enumerate(order) if keep(p in a.accepting, q in b.accepting)
     }

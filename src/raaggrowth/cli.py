@@ -27,7 +27,7 @@ from .pipeline import (
 from .series import InvariantError, NonIntegralCoefficient, PowerSeries, neck, rho
 
 EXIT_INVARIANT = 3  # an internal invariant failed; 1 is bad input, 2 is argparse usage
-MAX_DEGREE = 5000  # upper bound on --max-degree and --expand, checked before any work
+MAX_DEGREE = 5000  # bound on --max-degree, --expand and the --series degree; checked before any work
 
 
 def _load_graph(path: str):
@@ -46,6 +46,9 @@ def _parse_series_argument(text: str) -> PowerSeries:
         raise ValueError(f"series must be a JSON array: {exc}") from None
     if not isinstance(values, list) or not values:
         raise ValueError("series must be a nonempty JSON array of integers")
+    if len(values) > MAX_DEGREE + 1:
+        raise ValueError(f"--series has {len(values)} coefficients, at most {MAX_DEGREE + 1} "
+                         f"(degree {MAX_DEGREE}) are allowed")
     for v in values:
         if type(v) is not int:  # bool is an int subclass; floats and strings are not coerced
             raise ValueError(f"series coefficients must be JSON integers, got {json.dumps(v)}")

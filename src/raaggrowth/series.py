@@ -85,35 +85,33 @@ def poly_primitive(a):
 
 
 def poly_gcd(a, b):
-    """Primitive gcd of integer polynomials, positive leading coefficient."""
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if not a:
-        base = b
-    elif not b:
-        base = a
-    else:
-        fa = [Fraction(x) for x in a]
-        fb = [Fraction(x) for x in b]
-        while fb:
-            # remainder of fa by fb over the rationals
-            fa = fa[:]
-            while len(fa) >= len(fb) and any(fa):
-                factor = fa[-1] / fb[-1]
-                shift = len(fa) - len(fb)
-                for i, c in enumerate(fb):
-                    fa[shift + i] -= factor * c
-                while fa and fa[-1] == 0:
-                    fa.pop()
-            fa, fb = fb, fa
-        denominator_lcm = 1
-        for c in fa:
-            denominator_lcm = denominator_lcm * c.denominator // gcd(denominator_lcm, c.denominator)
-        base = [int(c * denominator_lcm) for c in fa]
-    base = poly_primitive(poly_trim(base))
-    if base and base[-1] < 0:
-        base = poly_neg(base)
-    return base
+    """Primitive gcd of integer polynomials, positive leading coefficient.
+
+    Primitive polynomial remainder sequence: each pseudo-remainder is taken
+    over the integers and divided by its content, so no fractions arise and
+    the coefficients stay small.  By Gauss's lemma the last nonzero remainder
+    is the primitive part of the gcd over the rationals.
+    """
+    a = poly_primitive(poly_trim(a))
+    b = poly_primitive(poly_trim(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lead = b[-1]
+        while len(a) >= len(b):
+            top = a[-1]
+            g = gcd(lead, top)
+            scale, factor = lead // g, top // g
+            shift = len(a) - len(b)
+            if scale != 1:
+                a = [scale * x for x in a]
+            for i, y in enumerate(b):
+                a[shift + i] -= factor * y
+            a = poly_trim(a)
+        a, b = b, poly_primitive(a)
+    if a and a[-1] < 0:
+        a = poly_neg(a)
+    return a
 
 
 def poly_divide_exact(a, b):

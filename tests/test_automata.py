@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import reference_automata
 from raaggrowth import automata
 from raaggrowth import (
     AlphabetMismatch,
@@ -35,11 +36,12 @@ A1 = OrderedAlphabet(("a",))      # 2 letters
 
 
 @st.composite
-def random_dfas(draw, alphabet=AB, max_states=6):
+def random_dfas(draw, alphabet=AB, max_states=6, random_initial=False):
     n = draw(st.integers(min_value=1, max_value=max_states))
     table = [draw(st.integers(0, n - 1)) for _ in range(n * alphabet.size)]
     accepting = [q for q in range(n) if draw(st.booleans())]
-    return Dfa(alphabet, n, table, 0, accepting)
+    initial = draw(st.integers(0, n - 1)) if random_initial else 0
+    return Dfa(alphabet, n, table, initial, accepting)
 
 
 def brute_counts(dfa, max_len):
@@ -279,6 +281,32 @@ def test_minimized_all_words_single_state():
 @given(random_dfas())
 def test_minimize_preserves_counts(d):
     assert list(count_words(minimize(d), 12)) == list(count_words(d, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([AB, A1]).flatmap(
+    lambda alphabet: random_dfas(alphabet, max_states=10, random_initial=True)))
+# splits a block that waits as a splitter; adding only its smaller half to
+# the work list instead of both halves leaves two inequivalent states merged
+@example(Dfa(A1, 8, (7, 2, 0, 2, 7, 2, 0, 3, 6, 6, 3, 6, 3, 6, 6, 4), 1, {0, 3}))
+def test_minimize_matches_reference(d):
+    # a random initial state leaves states unreachable, like the re-rooted
+    # automata that cyc_perm minimizes
+    assert minimize(d).encode() == reference_automata.minimize(d).encode()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, AB.size - 1), min_size=300, max_size=300))
+def test_minimize_long_chain_matches_reference(word):
+    size = AB.size
+    sink = len(word) + 1
+    table = [sink] * ((sink + 1) * size)
+    for i, x in enumerate(word):
+        table[i * size + x] = i + 1
+    chain = Dfa(AB, sink + 1, table, 0, {len(word)})
+    expected = reference_automata.minimize(chain).encode()
+    assert minimize(chain).encode() == expected
+    assert single_word_dfa(AB, word).encode() == expected
 
 
 def test_equivalent_examples():

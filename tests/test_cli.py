@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from raaggrowth import pipeline
+from raaggrowth import cli, pipeline
 from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, main
 from raaggrowth.series import PowerSeries
 
@@ -137,6 +137,19 @@ def test_degree_bound_checked_before_any_work(capsys, z2_file, command, option, 
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err.startswith(f"error: {option}")
+
+
+@pytest.mark.parametrize("command", ["rho", "neck"])
+def test_series_length_checked_before_any_work(capsys, monkeypatch, command):
+    def refuse(series):
+        raise AssertionError(f"{command} ran on a series that is too long")
+
+    monkeypatch.setattr(cli, command, refuse)
+    values = "[" + ",".join(["0"] * (MAX_DEGREE + 2)) + "]"
+    code = main([command, "--series", values])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith("error: --series")
 
 
 def test_neck_utility(capsys):

@@ -1,14 +1,19 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_series
 from raaggrowth.series import (
     NonIntegralCoefficient,
     PowerSeries,
     RationalFunction,
     euler_phi,
     neck,
+    poly_divide_exact,
+    poly_gcd,
+    poly_mul,
+    poly_primitive,
     rat_eq,
     rho,
     rho_integral_form,
@@ -60,6 +65,32 @@ def test_rational_reduction_and_equality():
 def test_rational_sign_normalization():
     a = rf([0, -2], [-1, 1])  # -2z/(z-1) = 2z/(1-z)
     assert a.den[0] == 1 and a.num == (0, 2)
+
+
+polynomials = st.one_of(
+    st.just([]),                                           # zero
+    st.lists(st.integers(-9, 9), min_size=1, max_size=1),  # constants, zero among them
+    st.lists(st.integers(-9, 9), max_size=7),              # negative leading coefficients too
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomials, polynomials, polynomials)
+def test_poly_gcd_matches_rational_euclid(p, q, common):
+    a, b = poly_mul(p, common), poly_mul(q, common)
+    g = poly_gcd(a, b)
+    assert g == reference_series.poly_gcd(a, b)
+    assert poly_gcd(b, a) == g
+    assert g == [] or g[-1] > 0
+    if g and any(common):
+        poly_divide_exact(g, poly_primitive(common))  # the planted factor divides the gcd
+
+
+def test_poly_gcd_zero_and_constant_operands():
+    assert poly_gcd([], []) == []
+    assert poly_gcd([0, 0], [-2, 0, -4]) == [1, 0, 2]
+    assert poly_gcd([-6], [3, 3]) == [1]
+    assert poly_gcd([2, -2], [-4, 4]) == [-1, 1]
 
 
 def test_zz_squared_is_z2_growth():
