@@ -3,7 +3,6 @@
 from .automata import (
     AlphabetMismatch,
     Dfa,
-    LengthCounts,
     Nfa,
     all_words_dfa,
     complement_lang,
@@ -75,7 +74,6 @@ from .series import (
     rat_eq,
     rho,
     rho_integral_form,
-    series_add,
     series_mul,
     substitute_power,
 )

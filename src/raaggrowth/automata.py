@@ -22,7 +22,6 @@ and the numerator is read off that many counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -37,23 +36,6 @@ class AlphabetMismatch(ValueError):
 def _require_same_alphabet(a: "Dfa", b: "Dfa"):
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch("automata are defined over different alphabets")
-
-
-@dataclass(frozen=True)
-class LengthCounts:
-    """Number of accepted words of each length 0..max_degree."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.counts) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
-
-    def __iter__(self):
-        return iter(self.counts)
 
 
 class Dfa:
@@ -187,11 +169,17 @@ def minimize(dfa: Dfa) -> Dfa:
     # Hopcroft partition refinement.  A DFA lists each state once among the
     # predecessors of its successor under a letter, so a splitter's preimage
     # under a letter has no repeats and is grouped by block straight away.
+    # Under any one letter most states have no predecessor (85% of them in the
+    # largest union of the C6 conjugacy-geodesic build); they share the empty
+    # tuple instead of each holding an empty list.
     incoming = []
     for x in range(size):
-        predecessors = [[] for _ in range(n)]
+        predecessors = [()] * n
         for p, t in enumerate(transitions[x::size]):
-            predecessors[t].append(p)
+            if predecessors[t]:
+                predecessors[t].append(p)
+            else:
+                predecessors[t] = [p]
         incoming.append(predecessors)
 
     accepting = dfa.accepting
@@ -294,23 +282,9 @@ def union(a: Dfa, b: Dfa) -> Dfa:
     return _product(a, b, lambda x, y: x or y)
 
 
-def difference(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and not y)
-
-
 def complement_lang(a: Dfa) -> Dfa:
     flipped = set(range(a.n_states)) - a.accepting
     return minimize(Dfa(a.alphabet, a.n_states, a.transitions, a.initial, flipped))
-
-
-def intersect_all(automata) -> Dfa:
-    automata = list(automata)
-    if not automata:
-        raise ValueError("intersect_all needs at least one automaton")
-    out = automata[0]
-    for other in automata[1:]:
-        out = intersect(out, other)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +429,8 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
 # counting and growth series
 # ---------------------------------------------------------------------------
 
-def count_words(dfa: Dfa, max_degree: int) -> LengthCounts:
-    """Accepted-word counts by length, exact big-int dynamic programming."""
+def count_words(dfa: Dfa, max_degree: int) -> tuple:
+    """Accepted-word counts of lengths 0..max_degree, by exact big-int dynamic programming."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     size = dfa.alphabet.size
@@ -469,7 +443,7 @@ def count_words(dfa: Dfa, max_degree: int) -> LengthCounts:
             for q in range(dfa.n_states)
         ]
         counts.append(y[dfa.initial])
-    return LengthCounts(tuple(counts))
+    return tuple(counts)
 
 
 def _berlekamp_massey(sequence):

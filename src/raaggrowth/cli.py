@@ -28,6 +28,7 @@ from .series import InvariantError, NonIntegralCoefficient, PowerSeries, neck, r
 
 EXIT_INVARIANT = 3  # an internal invariant failed; 1 is bad input, 2 is argparse usage
 MAX_DEGREE = 5000  # bound on --max-degree, --expand and the --series degree; checked before any work
+MAX_VERTICES = 8  # bound on the vertex count of every --graph (the pipeline's own bound); checked on load
 
 
 def _load_graph(path: str):
@@ -36,7 +37,10 @@ def _load_graph(path: str):
             text = handle.read()
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path!r}: {exc}") from None
-    return parse_graph(text)
+    graph = parse_graph(text)
+    if graph.n_vertices > MAX_VERTICES:
+        raise GraphError(f"graph has {graph.n_vertices} vertices, at most {MAX_VERTICES} are allowed")
+    return graph
 
 
 def _parse_series_argument(text: str) -> PowerSeries:

@@ -9,14 +9,21 @@ Given a defining graph, this module builds complete DFAs for:
                       by forbidden-factor automata (``lex_threat``);
 * ``cycsl_fsa``    -- words all of whose rotations are shortlex normal forms;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
-                      geodesic;
+                      geodesic, built from one cyclic closure per vertex;
 * ``lprime_fsa``   -- words with a cancelling generator pair up to rotation
                       and shuffling, used for the inclusion-exclusion route to
                       the conjugacy geodesic growth series.
 
 The cyclically-constrained languages use the identity
 ``CycL = X* \\ CycPerm(X* \\ L)`` with the cyclic-permutation closure from
-``automata.cyc_perm``.
+``automata.cyc_perm``.  The closure distributes over union, so when L is an
+intersection of small automata L_v it can be taken piece by piece:
+``X* \\ L = union_v (X* \\ L_v)`` and ``CycPerm`` of that union is the union
+of the ``CycPerm(X* \\ L_v)``.  ``conjgeo_fsa`` does this over the five-state
+geodesic checkers, which is far cheaper than closing the complement of the
+whole geodesic acceptor (hundreds of states).  ``cycsl_fsa`` does not: spread
+over the ``lex_threat`` automata as well, the closures and their unions
+measured 3-6x slower than one closure of the shortlex complement.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from .automata import (
     cyc_perm,
     growth_series,
     intersect,
-    intersect_all,
     minimize,
+    union,
 )
 from .graphs import GraphError, OrderedAlphabet, SimpleGraph
 from .series import RationalFunction
@@ -74,7 +81,10 @@ def geo_fsa(g: SimpleGraph) -> Dfa:
     alphabet = g.alphabet()
     if g.n_vertices == 0:
         return all_words_dfa(alphabet)
-    return intersect_all(geo_checker(g, alphabet, v) for v in range(g.n_vertices))
+    result = geo_checker(g, alphabet, 0)
+    for v in range(1, g.n_vertices):
+        result = intersect(result, geo_checker(g, alphabet, v))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +177,23 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
-    """Conjugacy geodesic words (= words with every rotation geodesic)."""
-    return complement_lang(cyc_perm(complement_lang(geo_fsa(g))))
+    """Conjugacy geodesic words (= words with every rotation geodesic).
+
+    The geodesics are the intersection of the per-vertex checkers L_v, so a
+    word fails to be conjugacy geodesic exactly when some rotation of it is
+    rejected by some checker: the non-conjugacy-geodesics are the union over
+    v of CycPerm(X* \\ L_v), since the closure distributes over union.  Each
+    closure runs on a five-state automaton, then the n results are unioned
+    and complemented.
+    """
+    alphabet = g.alphabet()
+    if g.n_vertices == 0:
+        return all_words_dfa(alphabet)
+    rejected = None
+    for v in range(g.n_vertices):
+        closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
+        rejected = closed if rejected is None else union(rejected, closed)
+    return complement_lang(rejected)
 
 
 def cycsl_support_series(g: SimpleGraph, subset, max_degree: int):

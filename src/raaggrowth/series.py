@@ -202,10 +202,6 @@ class PowerSeries:
         return [str(c) for c in self.coefficients]
 
 
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a + b
-
-
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     return a * b
 
@@ -319,14 +315,6 @@ class RationalFunction:
 
     def to_json_dict(self) -> dict:
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
-
-
-def rat_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a + b
-
-
-def rat_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a * b
 
 
 def rat_eq(a: RationalFunction, b: RationalFunction) -> bool:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from raaggrowth import SimpleGraph
 
@@ -57,3 +58,22 @@ def all_three_vertex_graphs():
         edges = [list(pairs[i]) for i in range(3) if mask >> i & 1]
         graphs.append(SimpleGraph.make(["x", "y", "z"], edges))
     return graphs
+
+
+def path_graph(n):
+    labels = [chr(ord("a") + i) for i in range(n)]
+    return SimpleGraph.make(labels, [[labels[i], labels[i + 1]] for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    labels = [chr(ord("a") + i) for i in range(n)]
+    return SimpleGraph.make(labels, [[labels[i], labels[(i + 1) % n]] for i in range(n)])
+
+
+@st.composite
+def small_graphs(draw, min_vertices=0, max_vertices=4):
+    """Graphs on min_vertices..max_vertices vertices with a random edge set."""
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    labels = [f"v{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    return SimpleGraph.make(labels, [p for p in pairs if draw(st.booleans())])

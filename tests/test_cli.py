@@ -3,7 +3,7 @@ import json
 import pytest
 
 from raaggrowth import cli, pipeline
-from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, main
+from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, MAX_VERTICES, main
 from raaggrowth.series import PowerSeries
 
 
@@ -150,6 +150,37 @@ def test_series_length_checked_before_any_work(capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and captured.err.startswith("error: --series")
+
+
+@pytest.mark.parametrize("command, endpoints, extra", [
+    ("conj-growth", ["spherical_conj_series"], []),
+    ("std-growth", ["spherical_growth_series"], []),
+    ("geo-growth", ["geodesic_series"], []),
+    ("conj-geo-growth", ["conj_geodesic_series"], []),
+    ("oracle", ["enumerate_classes", "element_counts"], ["--max-length", "2"]),
+])
+def test_vertex_bound_checked_before_any_work(capsys, monkeypatch, tmp_path, command, endpoints, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} ran on a graph above the vertex bound")
+
+    for name in endpoints:
+        monkeypatch.setattr(cli, name, refuse)
+    labels = [f"v{i}" for i in range(MAX_VERTICES + 1)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertices": labels, "edges": []}))
+    code = main([command, "--graph", str(path)] + extra)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err.startswith(f"error: graph has {MAX_VERTICES + 1} vertices")
+
+
+def test_vertex_bound_admits_the_bound(capsys, tmp_path):
+    labels = [f"v{i}" for i in range(MAX_VERTICES)]
+    path = tmp_path / "edgeless.json"
+    path.write_text(json.dumps({"vertices": labels, "edges": []}))
+    code, out = run(capsys, "oracle", "--graph", str(path), "--max-length", "1")
+    assert code == 0
+    assert json.loads(out)["element_counts"] == ["1", str(2 * MAX_VERTICES)]
 
 
 def test_neck_utility(capsys):

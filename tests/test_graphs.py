@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
+from conftest import small_graphs
 from raaggrowth import GraphError, SimpleGraph, parse_graph
 from raaggrowth.graphs import isomorphism_key
 
@@ -127,16 +128,7 @@ def test_alphabet_order(path4):
         assert alph.negative(v) < alph.positive(v + 1)
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    labels = [f"v{i}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = [p for p in pairs if draw(st.booleans())]
-    return SimpleGraph(tuple(labels), frozenset(chosen))
-
-
-@given(small_graphs())
+@given(small_graphs(min_vertices=1, max_vertices=5))
 def test_decompose_partitions_and_orders(g):
     subset = list(range(g.n_vertices))
     dec = g.decompose(subset)
@@ -156,7 +148,7 @@ def test_decompose_partitions_and_orders(g):
             assert min(block) < min(dec.blocks[i + 1])
 
 
-@given(small_graphs())
+@given(small_graphs(min_vertices=1, max_vertices=5))
 def test_components_of_double_complement(g):
     assert g.connected_components() == g.complement().complement().connected_components()
 

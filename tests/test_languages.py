@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
-from conftest import all_three_vertex_graphs, complete_graph
+import reference_languages
+from conftest import all_three_vertex_graphs, complete_graph, cycle_graph, path_graph, small_graphs
 from raaggrowth import (
+    SimpleGraph,
     GraphError,
     conjgeo_fsa,
     conjgeo_series_incl_excl,
@@ -205,11 +208,22 @@ def test_inclusions_between_languages(graph_index):
     assert is_sublanguage(cg, geo)
 
 
-@pytest.mark.parametrize("graph_index", range(8))
-def test_incl_excl_matches_direct(graph_index):
-    g = all_three_vertex_graphs()[graph_index]
-    direct = growth_series(conjgeo_fsa(g))
-    assert conjgeo_series_incl_excl(g).equals(direct)
+@pytest.mark.parametrize("g", all_three_vertex_graphs() + [path_graph(5), cycle_graph(5)],
+                         ids=[str(i) for i in range(8)] + ["P5", "C5"])
+def test_incl_excl_matches_direct(g):
+    assert conjgeo_series_incl_excl(g) == growth_series(conjgeo_fsa(g))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_graphs(max_vertices=4))
+@example(SimpleGraph.make([], []))
+@example(SimpleGraph.make(["a"], []))
+@example(path_graph(5))
+@example(cycle_graph(5))
+def test_conjgeo_matches_single_closure_reference(g):
+    # one closure per vertex checker gives the same minimal automaton as one
+    # closure of the complement of the whole geodesic acceptor
+    assert conjgeo_fsa(g).encode() == reference_languages.conjgeo_fsa(g).encode()
 
 
 # -- L'_v ------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import all_three_vertex_graphs, complete_graph, z_star_zn
+from conftest import all_three_vertex_graphs, complete_graph, small_graphs, z_star_zn
 from raaggrowth import (
     GraphError,
     SimpleGraph,
@@ -221,3 +222,25 @@ def test_timing_and_size_diagnostics(z2):
     assert set(report.automaton_states) == set(report.per_subset)
     assert all(t >= 0 for t in report.timings.values())
     assert all(s >= 1 for s in report.automaton_states.values())
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """A graph on at most 4 vertices and the same graph with its vertices listed in another order."""
+    g = draw(small_graphs(max_vertices=4))
+    order = draw(st.permutations(g.vertices))
+    edges = [(g.vertices[i], g.vertices[j]) for i, j in g.edges]
+    return g, SimpleGraph.make(order, edges)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(relabeled_pairs())
+def test_series_invariant_under_relabeling(pair):
+    # the vertex listing order fixes the letter order, and with it the
+    # shortlex order and every automaton, but no series may depend on it
+    g, relabeled = pair
+    assert spherical_growth_series(relabeled) == spherical_growth_series(g)
+    assert geodesic_series(relabeled) == geodesic_series(g)
+    for method in ("direct", "incl-excl"):
+        assert conj_geodesic_series(relabeled, method) == conj_geodesic_series(g, method)
+    assert spherical_conj_series(relabeled, 8).sigma_tilde == spherical_conj_series(g, 8).sigma_tilde
