@@ -3,7 +3,6 @@
 from .automata import (
     AlphabetMismatch,
     Dfa,
-    Nfa,
     all_words_dfa,
     complement_lang,
     concat,
@@ -23,7 +22,6 @@ from .graphs import (
     GraphError,
     OrderedAlphabet,
     SimpleGraph,
-    SubsetDecomposition,
     graph_to_json,
     parse_graph,
 )
@@ -51,7 +49,6 @@ from .oracle import (
     enumerate_elements,
     is_conjugacy_geodesic,
     is_geodesic,
-    is_shortlex,
     normal_form,
     prim_bruteforce,
 )
@@ -71,11 +68,7 @@ from .series import (
     RationalFunction,
     euler_phi,
     neck,
-    rat_eq,
     rho,
-    rho_integral_form,
-    series_mul,
-    substitute_power,
 )
 
 __version__ = "0.1.0"

@@ -288,74 +288,37 @@ def complement_lang(a: Dfa) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# nondeterministic automata and determinization
+# concatenation
 # ---------------------------------------------------------------------------
 
-class Nfa:
-    """NFA with epsilon moves; intermediate form for concatenation/closure."""
+def concat(a: Dfa, b: Dfa) -> Dfa:
+    """Language concatenation L(a)L(b), by a direct subset construction.
 
-    __slots__ = ("alphabet", "n_states", "transitions", "eps", "initials", "accepting")
-
-    def __init__(self, alphabet, n_states, transitions, eps, initials, accepting):
-        self.alphabet = alphabet
-        self.n_states = n_states
-        self.transitions = transitions  # list per state: dict letter -> tuple of targets
-        self.eps = eps                  # list per state: tuple of targets
-        self.initials = frozenset(initials)
-        self.accepting = frozenset(accepting)
-
-    def _closure(self, states) -> frozenset:
-        out = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for t in self.eps[q]:
-                if t not in out:
-                    out.add(t)
-                    stack.append(t)
-        return frozenset(out)
-
-    def determinize(self) -> Dfa:
-        size = self.alphabet.size
-        start = self._closure(self.initials)
-        index = {start: 0}
-        order = [start]
-        table = []
-        for subset in order:
-            for x in range(size):
-                targets = set()
-                for q in subset:
-                    targets.update(self.transitions[q].get(x, ()))
-                t = self._closure(targets)
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                table.append(index[t])
-        accepting = {i for i, subset in enumerate(order) if subset & self.accepting}
-        return Dfa(self.alphabet, len(order), table, 0, accepting)
-
-
-def _concat_nfa(a: Dfa, b: Dfa) -> Nfa:
+    A state is an a-state p with the set S of b-states reached by the words
+    whose split point already lies behind; entering an accepting a-state adds
+    ``b.initial`` to S, and the state accepts when S meets b's accept set.
+    """
     _require_same_alphabet(a, b)
     size = a.alphabet.size
-    offset = a.n_states
-    transitions = []
-    eps = []
-    for q in range(a.n_states):
-        base = q * size
-        transitions.append({x: (a.transitions[base + x],) for x in range(size)})
-        eps.append((offset + b.initial,) if q in a.accepting else ())
-    for q in range(b.n_states):
-        base = q * size
-        transitions.append({x: (offset + b.transitions[base + x],) for x in range(size)})
-        eps.append(())
-    accepting = {offset + q for q in b.accepting}
-    return Nfa(a.alphabet, offset + b.n_states, transitions, eps, {a.initial}, accepting)
-
-
-def concat(a: Dfa, b: Dfa) -> Dfa:
-    """Language concatenation L(a)L(b)."""
-    return minimize(_concat_nfa(a, b).determinize())
+    rows_a, rows_b = a.transitions, b.transitions
+    start = (a.initial, frozenset((b.initial,) if a.initial in a.accepting else ()))
+    index = {start: 0}
+    order = [start]
+    table = []
+    for p, subset in order:
+        for x in range(size):
+            p2 = rows_a[p * size + x]
+            targets = {rows_b[q * size + x] for q in subset}
+            if p2 in a.accepting:
+                targets.add(b.initial)
+            t = (p2, frozenset(targets))
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
+                order.append(t)
+            table.append(i)
+    accepting = {i for i, (_, subset) in enumerate(order) if subset & b.accepting}
+    return minimize(Dfa(a.alphabet, len(order), table, 0, accepting))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import sys
 from .graphs import GraphError, parse_graph
 from .oracle import ORACLE_MAX_LENGTH, OracleBound, element_counts, enumerate_classes
 from .pipeline import (
+    MAX_VERTICES,
     conj_geodesic_series,
     detect_part1_family,
     geodesic_series,
@@ -28,7 +29,6 @@ from .series import InvariantError, NonIntegralCoefficient, PowerSeries, neck, r
 
 EXIT_INVARIANT = 3  # an internal invariant failed; 1 is bad input, 2 is argparse usage
 MAX_DEGREE = 5000  # bound on --max-degree, --expand and the --series degree; checked before any work
-MAX_VERTICES = 8  # bound on the vertex count of every --graph (the pipeline's own bound); checked on load
 
 
 def _load_graph(path: str):
@@ -72,10 +72,6 @@ def _emit(doc: dict, pretty: bool):
         print(json.dumps(doc, indent=2))
 
 
-def _rational_doc(rf) -> dict:
-    return rf.to_json_dict()
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -117,7 +113,7 @@ def _cmd_conj_growth(args) -> int:
 def _cmd_std_growth(args) -> int:
     graph = _load_graph(args.graph)
     rf = spherical_growth_series(graph)
-    doc = {"standard_growth": _rational_doc(rf)}
+    doc = {"standard_growth": rf.to_json_dict()}
     if args.expand is not None:
         doc["series"] = rf.expand(args.expand).to_strings()
     _emit(doc, args.pretty)
@@ -127,7 +123,7 @@ def _cmd_std_growth(args) -> int:
 def _cmd_geo_growth(args) -> int:
     graph = _load_graph(args.graph)
     rf = geodesic_series(graph)
-    doc = {"geodesic_growth": _rational_doc(rf)}
+    doc = {"geodesic_growth": rf.to_json_dict()}
     if args.expand is not None:
         doc["series"] = rf.expand(args.expand).to_strings()
     _emit(doc, args.pretty)
@@ -137,7 +133,7 @@ def _cmd_geo_growth(args) -> int:
 def _cmd_conj_geo_growth(args) -> int:
     graph = _load_graph(args.graph)
     rf = conj_geodesic_series(graph, args.method)
-    doc = {"conjugacy_geodesic_growth": _rational_doc(rf), "method": args.method}
+    doc = {"conjugacy_geodesic_growth": rf.to_json_dict(), "method": args.method}
     if args.expand is not None:
         doc["series"] = rf.expand(args.expand).to_strings()
     _emit(doc, args.pretty)

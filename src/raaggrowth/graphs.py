@@ -57,30 +57,6 @@ class OrderedAlphabet:
         label = self.labels[letter // 2]
         return label if letter % 2 == 0 else label + "^-1"
 
-    def word_name(self, word) -> str:
-        return " ".join(self.name(x) for x in word) if word else "<empty>"
-
-
-@dataclass(frozen=True)
-class SubsetDecomposition:
-    """Ordered partition of a vertex subset into complement components.
-
-    Blocks are sorted tuples of vertex indices; block order is by least
-    member, so earlier blocks contain the smallest remaining vertex.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    @property
-    def is_single_block(self) -> bool:
-        return len(self.blocks) == 1
-
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -145,12 +121,6 @@ class SimpleGraph:
     def alphabet(self) -> OrderedAlphabet:
         return OrderedAlphabet(self.vertices)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.vertices.index(label)
-        except ValueError:
-            raise GraphError(f"unknown vertex label {label!r}") from None
-
     # -- basic graph operations --------------------------------------------
 
     def adjacent(self, i: int, j: int) -> bool:
@@ -210,8 +180,11 @@ class SimpleGraph:
 
     # -- complement decomposition ------------------------------------------
 
-    def decompose(self, subset) -> SubsetDecomposition:
-        """Ordered components of the complement graph restricted to ``subset``."""
+    def decompose(self, subset) -> tuple[tuple[int, ...], ...]:
+        """Ordered components of the complement graph restricted to ``subset``.
+
+        Blocks are sorted tuples of vertex indices, ordered by least member.
+        """
         subset = sorted(set(subset))
         if not subset:
             raise GraphError("cannot decompose the empty subset")
@@ -221,7 +194,7 @@ class SimpleGraph:
             for component in restricted.connected_components()
         ]
         blocks.sort(key=lambda block: block[0])
-        return SubsetDecomposition(tuple(blocks))
+        return tuple(blocks)
 
     def is_indecomposable(self, subset) -> bool:
         subset = set(subset)
@@ -257,23 +230,3 @@ def graph_to_json(graph: SimpleGraph) -> str:
             "edges": [[graph.vertices[i], graph.vertices[j]] for i, j in sorted(graph.edges)],
         }
     )
-
-
-def isomorphism_key(graph: SimpleGraph) -> tuple:
-    """Canonical form under vertex relabeling, by brute-force bijection search.
-
-    Intended for small subsets (<= 8 vertices) when collapsing isomorphic
-    induced subgraphs in caches.
-    """
-    from itertools import permutations
-
-    n = graph.n_vertices
-    if n > 8:
-        raise GraphError("isomorphism key limited to graphs with at most 8 vertices")
-    best = None
-    for perm in permutations(range(n)):
-        image = frozenset((min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in graph.edges)
-        key = tuple(sorted(image))
-        if best is None or key < best:
-            best = key
-    return (n, best)

@@ -196,32 +196,24 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     return complement_lang(rejected)
 
 
-def cycsl_support_series(g: SimpleGraph, subset, max_degree: int):
-    """Exact growth data of the cyclically-shortlex words with support ``subset``.
+def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
+    """Cyclically-shortlex words with support exactly ``subset``.
 
-    The subset must be indecomposable.  The computation happens over the
-    restricted alphabet of the induced subgraph (the languages restrict
-    compatibly), which keeps the cyclic closure small.  Returns the reduced
-    rational growth function and the counts up to ``max_degree``.
+    The subset must be nonempty and indecomposable.  The automaton lives over
+    the restricted alphabet of the induced subgraph (the languages restrict
+    compatibly), which keeps the cyclic closure small.
     """
     subset = sorted(set(subset))
-    if not subset:
-        raise GraphError("support subset must be nonempty")
     if not g.is_indecomposable(subset):
-        raise GraphError(f"subset {subset} is decomposable")
-    induced = g.induced_subgraph(subset)
-    full_support = support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
-    rf = growth_series(full_support)
-    return rf, rf.expand(max_degree)
-
-
-def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
-    """Automaton behind :func:`cycsl_support_series` (restricted alphabet)."""
-    subset = sorted(set(subset))
-    if not g.is_indecomposable(subset):
-        raise GraphError(f"subset {subset} is decomposable")
+        raise GraphError(f"subset {subset} is empty or decomposable")
     induced = g.induced_subgraph(subset)
     return support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
+
+
+def cycsl_support_series(g: SimpleGraph, subset, max_degree: int):
+    """Reduced growth function of :func:`cycsl_support_fsa` and its counts to ``max_degree``."""
+    rf = growth_series(cycsl_support_fsa(g, subset))
+    return rf, rf.expand(max_degree)
 
 
 # ---------------------------------------------------------------------------

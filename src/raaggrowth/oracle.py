@@ -103,10 +103,6 @@ def is_geodesic(g: SimpleGraph, word) -> bool:
     return len(normal_form(g, word)) == len(word)
 
 
-def is_shortlex(g: SimpleGraph, word) -> bool:
-    return normal_form(g, word) == tuple(word)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy machinery
 # ---------------------------------------------------------------------------

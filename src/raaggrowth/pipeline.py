@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .automata import growth_series
-from .graphs import GraphError, SimpleGraph, isomorphism_key
+from .graphs import GraphError, SimpleGraph
 from .languages import (
     conjgeo_fsa,
     conjgeo_series_incl_excl,
@@ -26,6 +26,8 @@ from .languages import (
     shortlex_fsa,
 )
 from .series import InvariantError, PowerSeries, RationalFunction, neck, poly_mul, rho
+
+MAX_VERTICES = 8  # 2^n - 1 vertex subsets; graphs with more vertices are rejected before any work
 
 
 @dataclass
@@ -56,40 +58,21 @@ class ConjGrowthReport:
         }
 
 
-def spherical_conj_series(
-    g: SimpleGraph,
-    degree: int,
-    max_vertices: int = 8,
-    collapse_isomorphic: bool = False,
-) -> ConjGrowthReport:
-    """Spherical conjugacy growth series, truncated at ``degree``.
-
-    ``collapse_isomorphic`` additionally shares work between blocks whose
-    induced subgraphs are isomorphic (brute-force canonical form); off by
-    default so that the per-subset report stays directly auditable.
-    """
+def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
+    """Spherical conjugacy growth series, truncated at ``degree``."""
     if degree < 0:
         raise ValueError("truncation degree must be nonnegative")
     n = g.n_vertices
-    if n > max_vertices:
-        raise GraphError(f"graph has {n} vertices, above the configured bound {max_vertices}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
 
     per_subset = {}
     automaton_states = {}
     timings = {}
-    shared = {}  # isomorphism key -> block whose data is reused
 
     def block_rho(block: tuple) -> PowerSeries:
         if block in per_subset:
             return per_subset[block][1]
-        if collapse_isomorphic:
-            iso = isomorphism_key(g.induced_subgraph(block))
-            if iso in shared:
-                source = shared[iso]
-                per_subset[block] = per_subset[source]
-                automaton_states[block] = automaton_states[source]
-                timings[block] = 0.0
-                return per_subset[block][1]
         started = time.perf_counter()
         automaton = cycsl_support_fsa(g, block)
         rf = growth_series(automaton)
@@ -97,8 +80,6 @@ def spherical_conj_series(
         per_subset[block] = (rf, rho_series)
         automaton_states[block] = automaton.n_states
         timings[block] = time.perf_counter() - started
-        if collapse_isomorphic:
-            shared[iso] = block
         return rho_series
 
     total = PowerSeries.one(degree)

@@ -10,9 +10,12 @@ operators live here as well:
   ``[z^n] rho(f) = (1/n) * sum_{k | n} phi(k) * [z^{n/k}] f``.
 * ``neck`` is the necklace transform
   ``sum_{k,l >= 1} (phi(k)/(k*l)) * f(z^k)^l``
-  counting cyclic sequences of blocks drawn from a language.
+  counting cyclic sequences of blocks drawn from a language.  Summing over l
+  gives Polya's cycle construction ``sum_k (phi(k)/k) log 1/(1 - f(z^k))``,
+  and since ``z f'/(1 - f)`` is ``z d/dz log 1/(1 - f)``, it is computed as
+  ``neck(f) = rho(z f'/(1 - f))``.  It is integral on every integer series.
 
-Both operators must produce integer coefficients on language-derived input;
+``rho`` must produce integer coefficients on language-derived input;
 non-integrality is reported as an error, never rounded away.
 """
 
@@ -202,21 +205,6 @@ class PowerSeries:
         return [str(c) for c in self.coefficients]
 
 
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
-def substitute_power(f: PowerSeries, k: int) -> PowerSeries:
-    """f(z^k), truncated at f's degree bound."""
-    if k < 1:
-        raise ValueError("power substitution needs k >= 1")
-    n = f.max_degree
-    out = [0] * (n + 1)
-    for m in range(0, n // k + 1):
-        out[k * m] = f[m]
-    return PowerSeries(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -317,10 +305,6 @@ class RationalFunction:
         return {"num": [str(c) for c in self.num], "den": [str(c) for c in self.den]}
 
 
-def rat_eq(a: RationalFunction, b: RationalFunction) -> bool:
-    return a.equals(b)
-
-
 # ---------------------------------------------------------------------------
 # totient and counting operators
 # ---------------------------------------------------------------------------
@@ -370,52 +354,20 @@ def rho(f: PowerSeries) -> PowerSeries:
 def neck(f: PowerSeries) -> PowerSeries:
     """Necklace transform sum_{k,l>=1} (phi(k)/(k*l)) f(z^k)^l, truncated.
 
-    The input must have zero constant term, so only k, l up to the truncation
-    degree contribute.  Intermediate arithmetic is exact rational; the final
-    coefficients must come out integral.
+    Summed over l first, this is sum_k (phi(k)/k) log 1/(1 - f(z^k)), Polya's
+    cycle construction, and it equals ``rho(z f'/(1 - f))``: z f'/(1 - f) is
+    z d/dz of log 1/(1 - f), whose coefficient at m is m times that of the
+    logarithm, and ``rho`` divides the term for k | n by n/k.  The input must
+    have zero constant term.  On any integer series the result is integral:
+    the coefficients c_m of z f'/(1 - f) satisfy exp(sum_m c_m z^m / m) =
+    1/(1 - f), an integer series, which is equivalent to the Gauss
+    congruences that make every coefficient of ``rho`` an integer.  So the
+    exactness check inside ``rho`` never fires here.
     """
     if f[0] != 0:
         raise ValueError("neck requires a series with zero constant term")
-    n = f.max_degree
-    total = [Fraction(0)] * (n + 1)
-    for k in range(1, n + 1):
-        g = substitute_power(f, k)
-        weight = Fraction(euler_phi(k), k)
-        power = PowerSeries.one(n)
-        max_l = n // k if k > 1 else n
-        for l in range(1, max_l + 1):
-            power = power * g
-            w = weight / l
-            for i in range(l, n + 1):
-                if power[i]:
-                    total[i] += w * power[i]
-    for i, c in enumerate(total):
-        if c.denominator != 1:
-            raise NonIntegralCoefficient(
-                f"neck coefficient at degree {i} is {c}, not an integer"
-            )
-    return PowerSeries(tuple(int(c) for c in total))
-
-
-def rho_integral_form(f: PowerSeries) -> PowerSeries:
-    """rho computed by formally integrating sum_k phi(k) f(t^k) / t.
-
-    Slower than ``rho`` but follows the defining integral term by term; used
-    as an independent check of the closed coefficient formula.
-    """
-    if f[0] != 0:
-        raise ValueError("rho requires a series with zero constant term")
-    n = f.max_degree
-    integrand = [Fraction(0)] * (n + 1)  # coefficient of t^(m-1) stored at m
-    for k in range(1, n + 1):
-        g = substitute_power(f, k)
-        phi_k = euler_phi(k)
-        for m in range(1, n + 1):
-            if g[m]:
-                integrand[m] += phi_k * g[m]
-    out = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        out[m] = integrand[m] / m
-    if any(c.denominator != 1 for c in out):
-        raise NonIntegralCoefficient("integral form produced non-integer coefficients")
-    return PowerSeries(tuple(int(c) for c in out))
+    inverse = [1]  # 1/(1 - f) by its recurrence
+    for m in range(1, f.max_degree + 1):
+        inverse.append(sum(f[i] * inverse[m - i] for i in range(1, m + 1)))
+    derivative = PowerSeries(tuple(m * c for m, c in enumerate(f.coefficients)))  # z f'
+    return rho(derivative * PowerSeries(tuple(inverse)))

@@ -1,9 +1,13 @@
-"""Reference minimization: reachable restriction, then set-based Hopcroft.
+"""Reference automaton operations: the straightforward forms of library kernels.
 
-The straightforward form of ``automata.minimize``: restrict to the states
-reachable from the initial one, refine with Hopcroft's algorithm (a set per
-block and a set per splitter preimage), and renumber the quotient breadth
-first.  The tests compare the library's minimization against it.
+* ``minimize``: restrict to the states reachable from the initial one,
+  refine with Hopcroft's algorithm (a set per block and a set per splitter
+  preimage), and renumber the quotient breadth first.
+* ``concat``: build an NFA with an epsilon move from every accepting state of
+  the left operand to the initial state of the right one, determinize it by
+  the subset construction over epsilon closures, and minimize as above.
+
+The tests compare ``automata.minimize`` and ``automata.concat`` against them.
 """
 
 from __future__ import annotations
@@ -110,3 +114,66 @@ def minimize(dfa: Dfa) -> Dfa:
         table.extend(number[t] for t in rep_delta[b])
     accepting_blocks = {number[block_of[q]] for q in dfa.accepting}
     return Dfa(dfa.alphabet, len(order), table, 0, accepting_blocks)
+
+
+class Nfa:
+    """NFA with epsilon moves; intermediate form for concatenation."""
+
+    def __init__(self, alphabet, n_states, transitions, eps, initials, accepting):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        self.transitions = transitions  # list per state: dict letter -> tuple of targets
+        self.eps = eps                  # list per state: tuple of targets
+        self.initials = frozenset(initials)
+        self.accepting = frozenset(accepting)
+
+    def _closure(self, states) -> frozenset:
+        out = set(states)
+        stack = list(states)
+        while stack:
+            q = stack.pop()
+            for t in self.eps[q]:
+                if t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    def determinize(self) -> Dfa:
+        size = self.alphabet.size
+        start = self._closure(self.initials)
+        index = {start: 0}
+        order = [start]
+        table = []
+        for subset in order:
+            for x in range(size):
+                targets = set()
+                for q in subset:
+                    targets.update(self.transitions[q].get(x, ()))
+                t = self._closure(targets)
+                if t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+                table.append(index[t])
+        accepting = {i for i, subset in enumerate(order) if subset & self.accepting}
+        return Dfa(self.alphabet, len(order), table, 0, accepting)
+
+
+def concat(a: Dfa, b: Dfa) -> Dfa:
+    """Language concatenation L(a)L(b) through an epsilon-NFA."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("automata are defined over different alphabets")
+    size = a.alphabet.size
+    offset = a.n_states
+    transitions = []
+    eps = []
+    for q in range(a.n_states):
+        base = q * size
+        transitions.append({x: (a.transitions[base + x],) for x in range(size)})
+        eps.append((offset + b.initial,) if q in a.accepting else ())
+    for q in range(b.n_states):
+        base = q * size
+        transitions.append({x: (offset + b.transitions[base + x],) for x in range(size)})
+        eps.append(())
+    accepting = {offset + q for q in b.accepting}
+    nfa = Nfa(a.alphabet, offset + b.n_states, transitions, eps, {a.initial}, accepting)
+    return minimize(nfa.determinize())

@@ -1,8 +1,15 @@
-"""Reference polynomial gcd: Euclid's algorithm over the rationals.
+"""Reference series arithmetic: the straightforward forms of library operators.
 
-Remainders are taken with ``Fraction`` coefficients; the last nonzero one is
-cleared of denominators, made primitive and given a positive leading
-coefficient.  The tests compare ``series.poly_gcd`` against it.
+* ``poly_gcd``: Euclid's algorithm over the rationals.  Remainders are taken
+  with ``Fraction`` coefficients; the last nonzero one is cleared of
+  denominators, made primitive and given a positive leading coefficient.
+* ``neck``: the necklace transform as its defining double sum over k and l,
+  in exact rational arithmetic.
+* ``rho_integral_form``: ``rho`` by integrating sum_k phi(k) f(t^k) / t term
+  by term.
+
+The tests compare ``series.poly_gcd``, ``series.neck`` and ``series.rho``
+against them.
 """
 
 from __future__ import annotations
@@ -10,7 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from raaggrowth.series import poly_neg, poly_primitive, poly_trim
+from raaggrowth.series import (
+    NonIntegralCoefficient,
+    PowerSeries,
+    euler_phi,
+    poly_neg,
+    poly_primitive,
+    poly_trim,
+)
 
 
 def poly_gcd(a, b):
@@ -42,3 +56,68 @@ def poly_gcd(a, b):
     if base and base[-1] < 0:
         base = poly_neg(base)
     return base
+
+
+def substitute_power(f: PowerSeries, k: int) -> PowerSeries:
+    """f(z^k), truncated at f's degree bound."""
+    if k < 1:
+        raise ValueError("power substitution needs k >= 1")
+    n = f.max_degree
+    out = [0] * (n + 1)
+    for m in range(0, n // k + 1):
+        out[k * m] = f[m]
+    return PowerSeries(tuple(out))
+
+
+def neck(f: PowerSeries) -> PowerSeries:
+    """Necklace transform sum_{k,l>=1} (phi(k)/(k*l)) f(z^k)^l, truncated.
+
+    The input must have zero constant term, so only k, l up to the truncation
+    degree contribute.  Intermediate arithmetic is exact rational; the final
+    coefficients must come out integral.
+    """
+    if f[0] != 0:
+        raise ValueError("neck requires a series with zero constant term")
+    n = f.max_degree
+    total = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        g = substitute_power(f, k)
+        weight = Fraction(euler_phi(k), k)
+        power = PowerSeries.one(n)
+        max_l = n // k if k > 1 else n
+        for l in range(1, max_l + 1):
+            power = power * g
+            w = weight / l
+            for i in range(l, n + 1):
+                if power[i]:
+                    total[i] += w * power[i]
+    for i, c in enumerate(total):
+        if c.denominator != 1:
+            raise NonIntegralCoefficient(
+                f"neck coefficient at degree {i} is {c}, not an integer"
+            )
+    return PowerSeries(tuple(int(c) for c in total))
+
+
+def rho_integral_form(f: PowerSeries) -> PowerSeries:
+    """rho computed by formally integrating sum_k phi(k) f(t^k) / t.
+
+    Follows the defining integral term by term; an independent check of the
+    closed coefficient formula of ``series.rho``.
+    """
+    if f[0] != 0:
+        raise ValueError("rho requires a series with zero constant term")
+    n = f.max_degree
+    integrand = [Fraction(0)] * (n + 1)  # coefficient of t^(m-1) stored at m
+    for k in range(1, n + 1):
+        g = substitute_power(f, k)
+        phi_k = euler_phi(k)
+        for m in range(1, n + 1):
+            if g[m]:
+                integrand[m] += phi_k * g[m]
+    out = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        out[m] = integrand[m] / m
+    if any(c.denominator != 1 for c in out):
+        raise NonIntegralCoefficient("integral form produced non-integer coefficients")
+    return PowerSeries(tuple(int(c) for c in out))

@@ -136,6 +136,25 @@ def test_concat_counts_convolution_on_prefix_code():
     assert brute_counts(product, 5) == expected[:6]
 
 
+def dfa_pairs(alphabet):
+    operand = random_dfas(alphabet, max_states=8, random_initial=True)
+    return st.tuples(operand, operand)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([AB, A1]).flatmap(dfa_pairs))
+# the left operand accepts the empty word, so the start state already holds b's initial state
+@example((Dfa(A1, 2, (1, 0, 0, 1), 0, {0}), Dfa(A1, 2, (1, 1, 0, 0), 1, {0})))
+# an empty operand makes the concatenation empty
+@example((empty_language_dfa(AB), all_words_dfa(AB)))
+@example((all_words_dfa(AB), empty_language_dfa(AB)))
+# the right operand accepts only the empty word
+@example((single_word_dfa(A1, (0, 1)), epsilon_dfa(A1)))
+def test_concat_matches_reference(pair):
+    a, b = pair
+    assert concat(a, b).encode() == reference_automata.concat(a, b).encode()
+
+
 # -- cyclic permutation closure ----------------------------------------------
 
 def test_cyc_perm_of_single_word():

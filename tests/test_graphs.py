@@ -5,7 +5,6 @@ from hypothesis import given
 
 from conftest import small_graphs
 from raaggrowth import GraphError, SimpleGraph, parse_graph
-from raaggrowth.graphs import isomorphism_key
 
 
 def test_parse_basic():
@@ -79,11 +78,11 @@ def five_vertex_example():
 
 def test_five_vertex_decompositions():
     g = five_vertex_example()
-    assert g.decompose([0, 1, 2, 3, 4]).blocks == ((0, 1, 2, 3, 4),)
-    assert g.decompose([0, 1, 2, 3]).blocks == ((0, 2), (1, 3))
-    assert g.decompose([0, 2, 3, 4]).blocks == ((0, 2, 4), (3,))
-    assert g.decompose([0, 1, 3, 4]).blocks == ((0,), (1, 3, 4))
-    assert g.decompose([0, 3, 4]).blocks == ((0,), (3,), (4,))
+    assert g.decompose([0, 1, 2, 3, 4]) == ((0, 1, 2, 3, 4),)
+    assert g.decompose([0, 1, 2, 3]) == ((0, 2), (1, 3))
+    assert g.decompose([0, 2, 3, 4]) == ((0, 2, 4), (3,))
+    assert g.decompose([0, 1, 3, 4]) == ((0,), (1, 3, 4))
+    assert g.decompose([0, 3, 4]) == ((0,), (3,), (4,))
 
 
 def test_five_vertex_component_example():
@@ -135,17 +134,17 @@ def test_decompose_partitions_and_orders(g):
     flat = [v for block in dec for v in block]
     assert sorted(flat) == subset  # blocks partition the subset
     comp = g.complement()
-    for i, block in enumerate(dec.blocks):
+    for i, block in enumerate(dec):
         # block is connected in the complement
         assert comp.induced_subgraph(block).connected_components() == [
             frozenset(range(len(block)))
         ]
         # no complement edges between different blocks
-        for other in dec.blocks[i + 1 :]:
+        for other in dec[i + 1 :]:
             assert not any(comp.adjacent(u, w) for u in block for w in other)
         # ordering by least member
-        if i + 1 < len(dec.blocks):
-            assert min(block) < min(dec.blocks[i + 1])
+        if i + 1 < len(dec):
+            assert min(block) < min(dec[i + 1])
 
 
 @given(small_graphs(min_vertices=1, max_vertices=5))
@@ -157,10 +156,3 @@ def test_graph_json_roundtrip(path4):
     from raaggrowth import graph_to_json
 
     assert parse_graph(graph_to_json(path4)) == path4
-
-
-def test_isomorphism_key_collapses_relabelings(path4):
-    relabeled = SimpleGraph.make(["d", "c", "b", "a"], [["a", "b"], ["b", "c"], ["c", "d"]])
-    assert isomorphism_key(path4) == isomorphism_key(relabeled)
-    star = SimpleGraph.make(["a", "b", "c", "d"], [["a", "b"], ["a", "c"], ["a", "d"]])
-    assert isomorphism_key(path4) != isomorphism_key(star)

@@ -17,6 +17,7 @@ from raaggrowth import (
     part1_crosscheck,
     support_exact,
 )
+from raaggrowth import pipeline
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
@@ -132,17 +133,17 @@ def test_report_json_shape_and_determinism(z2):
     assert entry["rho"][:3] == ["0", "2", "2"]
 
 
-def test_collapse_isomorphic_same_result(path4):
-    plain = spherical_conj_series(path4, 8)
-    collapsed = spherical_conj_series(path4, 8, collapse_isomorphic=True)
-    assert plain.sigma_tilde.coefficients == collapsed.sigma_tilde.coefficients
-
-
-def test_bounds_and_errors(path4):
+def test_bounds_and_errors(path4, monkeypatch):
     with pytest.raises(ValueError):
         spherical_conj_series(path4, -1)
-    with pytest.raises(GraphError):
-        spherical_conj_series(path4, 4, max_vertices=3)
+
+    def no_work(*args):
+        raise AssertionError("a graph above the vertex bound reached the block stage")
+
+    monkeypatch.setattr(pipeline, "cycsl_support_fsa", no_work)
+    labels = [f"v{i}" for i in range(pipeline.MAX_VERTICES + 1)]
+    with pytest.raises(GraphError, match=f"{len(labels)} vertices"):
+        spherical_conj_series(SimpleGraph.make(labels, []), 4)
 
 
 def test_spherical_growth_series_cases(f2):
