@@ -61,9 +61,6 @@ class Dfa:
             if not 0 <= q < n_states:
                 raise ValueError("accepting state out of range")
 
-    def delta(self, state: int, letter: int) -> int:
-        return self.transitions[state * self.alphabet.size + letter]
-
     def accepts(self, word) -> bool:
         q = self.initial
         size = self.alphabet.size
@@ -378,12 +375,13 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
     ``letter_map`` maps target letters to letters of ``dfa``'s alphabet.
     """
     size = target.size
+    source_size = dfa.alphabet.size
     sink = dfa.n_states
+    columns = [letter_map.get(x) for x in range(size)]
     table = []
     for q in range(dfa.n_states):
-        for x in range(size):
-            local = letter_map.get(x)
-            table.append(dfa.delta(q, local) if local is not None else sink)
+        row = dfa.transitions[q * source_size:(q + 1) * source_size]
+        table.extend(sink if local is None else row[local] for local in columns)
     table.extend([sink] * size)
     return minimize(Dfa(target, sink + 1, table, dfa.initial, dfa.accepting))
 

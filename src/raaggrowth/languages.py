@@ -35,6 +35,7 @@ from .automata import (
     cyc_perm,
     growth_series,
     intersect,
+    map_letters,
     minimize,
     union,
 )
@@ -201,7 +202,9 @@ def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
 
     The subset must be nonempty and indecomposable.  The automaton lives over
     the restricted alphabet of the induced subgraph (the languages restrict
-    compatibly), which keeps the cyclic closure small.
+    compatibly), which keeps the cyclic closure small.  The pipeline reads
+    the same growth function off ``cycsl_support_series`` instead, without
+    building this automaton.
     """
     subset = sorted(set(subset))
     if not g.is_indecomposable(subset):
@@ -210,9 +213,42 @@ def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
     return support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
 
 
-def cycsl_support_series(g: SimpleGraph, subset, max_degree: int):
-    """Reduced growth function of :func:`cycsl_support_fsa` and its counts to ``max_degree``."""
-    rf = growth_series(cycsl_support_fsa(g, subset))
+def cycsl_support_series(g: SimpleGraph, subset, max_degree: int, closures=None):
+    """Reduced growth function of :func:`cycsl_support_fsa` and its counts to ``max_degree``.
+
+    Computed without a per-block automaton, by Mobius inversion on the subset
+    lattice: F_B = sum over T in B of (-1)^|B \\ T| G_T, where G_T counts the
+    cyclically-shortlex words over the letters of T (G_empty = 1, the empty
+    word).  Cyclic shortlex restricts compatibly to letter subsets, so G_T is
+    the growth series of one cyclic closure with its alphabet cut down to T
+    (``map_letters``).  An indecomposable B lies inside one maximal block,
+    a component of the whole graph's complement, so the closure is built per
+    maximal block and never for the whole graph (a decomposable graph's
+    closure is far larger than its blocks').  ``closures`` maps each maximal
+    block to its closure and its G_T table; a caller sharing one dict across
+    blocks builds each closure and each G_T once.
+    """
+    subset = sorted(set(subset))
+    if not g.is_indecomposable(subset):
+        raise GraphError(f"subset {subset} is empty or decomposable")
+    top = next(m for m in g.decompose(range(g.n_vertices)) if subset[0] in m)
+    if closures is None:
+        closures = {}
+    if top not in closures:
+        closures[top] = (cycsl_fsa(g.induced_subgraph(top)), {(): RationalFunction.constant(1)})
+    closure, restricted = closures[top]
+    local = {v: k for k, v in enumerate(top)}
+    rf = RationalFunction.constant(0)
+    for mask in range(1 << len(subset)):
+        part = tuple(v for i, v in enumerate(subset) if mask >> i & 1)
+        if part not in restricted:
+            letter_map = {2 * k + e: 2 * local[v] + e for k, v in enumerate(part) for e in (0, 1)}
+            target = g.induced_subgraph(part).alphabet()
+            restricted[part] = growth_series(map_letters(closure, target, letter_map))
+        if (len(subset) - len(part)) % 2:
+            rf = rf - restricted[part]
+        else:
+            rf = rf + restricted[part]
     return rf, rf.expand(max_degree)
 
 

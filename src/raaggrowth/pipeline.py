@@ -6,22 +6,23 @@ The spherical conjugacy growth series of a right-angled Artin group is
     (U_1, ..., U_m), of the product rho(F_1) ... rho(F_m),
 
 where F_i is the growth series of the cyclically-shortlex words supported
-exactly on U_i.  Each distinct indecomposable block is computed once (over
-its restricted alphabet) and cached; the subset sum then only multiplies and
-adds truncated series.
+exactly on U_i.  Each distinct indecomposable block is computed once, by
+Mobius inversion over the letter restrictions of one cyclic closure per
+maximal block (a component of the whole graph's complement; see
+``languages.cycsl_support_series``), and cached; the subset sum then only
+multiplies and adds truncated series.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import growth_series
 from .graphs import GraphError, SimpleGraph
 from .languages import (
     conjgeo_fsa,
     conjgeo_series_incl_excl,
-    cycsl_support_fsa,
+    cycsl_support_series,
     geo_fsa,
     shortlex_fsa,
 )
@@ -38,8 +39,6 @@ class ConjGrowthReport:
     degree: int
     sigma_tilde: PowerSeries
     per_subset: dict  # block (vertex tuple) -> (RationalFunction, rho PowerSeries)
-    automaton_states: dict = field(default_factory=dict)  # block -> #states
-    timings: dict = field(default_factory=dict)           # block -> seconds
 
     def to_json_dict(self) -> dict:
         def block_name(block):
@@ -67,20 +66,13 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
         raise GraphError(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
 
     per_subset = {}
-    automaton_states = {}
-    timings = {}
+    closures = {}  # shared by every block: one cyclic closure per maximal block
 
     def block_rho(block: tuple) -> PowerSeries:
-        if block in per_subset:
-            return per_subset[block][1]
-        started = time.perf_counter()
-        automaton = cycsl_support_fsa(g, block)
-        rf = growth_series(automaton)
-        rho_series = rho(rf.expand(degree))
-        per_subset[block] = (rf, rho_series)
-        automaton_states[block] = automaton.n_states
-        timings[block] = time.perf_counter() - started
-        return rho_series
+        if block not in per_subset:
+            rf, counts = cycsl_support_series(g, block, degree, closures)
+            per_subset[block] = (rf, rho(counts))
+        return per_subset[block][1]
 
     total = PowerSeries.one(degree)
     for mask in range(1, 1 << n):
@@ -92,7 +84,7 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
 
     if total[0] != 1 or any(c < 0 for c in total.coefficients):
         raise InvariantError("sigma~ must have constant term 1 and nonnegative coefficients")
-    return ConjGrowthReport(g, degree, total, per_subset, automaton_states, timings)
+    return ConjGrowthReport(g, degree, total, per_subset)
 
 
 def spherical_growth_series(g: SimpleGraph) -> RationalFunction:

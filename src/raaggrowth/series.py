@@ -179,21 +179,20 @@ class PowerSeries:
         return PowerSeries.from_list(self.coefficients, max_degree)
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.max_degree, other.max_degree)
-        return PowerSeries(tuple(self[i] + other[i] for i in range(n + 1)))
+        return PowerSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.max_degree, other.max_degree)
-        return PowerSeries(tuple(self[i] - other[i] for i in range(n + 1)))
+        return PowerSeries(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.max_degree, other.max_degree)
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            a = self[i]
+        left, right = self.coefficients, other.coefficients
+        n = min(len(left), len(right))
+        out = [0] * n
+        for i in range(n):
+            a = left[i]
             if a:
-                for j in range(n + 1 - i):
-                    b = other[j]
+                for j in range(n - i):
+                    b = right[j]
                     if b:
                         out[i + j] += a * b
         return PowerSeries(tuple(out))

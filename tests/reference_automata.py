@@ -6,8 +6,11 @@
 * ``concat``: build an NFA with an epsilon move from every accepting state of
   the left operand to the initial state of the right one, determinize it by
   the subset construction over epsilon closures, and minimize as above.
+* ``map_letters``: fill the new transition table one lookup per state and
+  target letter, and minimize as above.
 
-The tests compare ``automata.minimize`` and ``automata.concat`` against them.
+The tests compare ``automata.minimize``, ``automata.concat`` and
+``automata.map_letters`` against them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from raaggrowth.automata import Dfa
+from raaggrowth.graphs import OrderedAlphabet
 
 
 def restrict_reachable(dfa: Dfa) -> Dfa:
@@ -177,3 +181,16 @@ def concat(a: Dfa, b: Dfa) -> Dfa:
     accepting = {offset + q for q in b.accepting}
     nfa = Nfa(a.alphabet, offset + b.n_states, transitions, eps, {a.initial}, accepting)
     return minimize(nfa.determinize())
+
+
+def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
+    """Reinterpret over ``target``; unmapped target letters go to a dead sink."""
+    size = target.size
+    sink = dfa.n_states
+    table = []
+    for q in range(dfa.n_states):
+        for x in range(size):
+            local = letter_map.get(x)
+            table.append(dfa.transitions[q * dfa.alphabet.size + local] if local is not None else sink)
+    table.extend([sink] * size)
+    return minimize(Dfa(target, sink + 1, table, dfa.initial, dfa.accepting))

@@ -345,6 +345,26 @@ def test_map_letters_embedding():
     assert not embedded.accepts((2,))  # b-letter unmapped, falls in the sink
 
 
+ABC = OrderedAlphabet(("a", "b", "c"))  # 6 letters
+
+
+@st.composite
+def letter_maps(draw):
+    """A DFA over ``AB``, a target alphabet, and a partial map of target letters into ``AB``."""
+    d = draw(random_dfas(AB, max_states=8, random_initial=True))
+    target = draw(st.sampled_from([A1, AB, ABC]))
+    mapped = draw(st.lists(st.integers(0, target.size - 1), unique=True))
+    return d, target, {x: draw(st.integers(0, AB.size - 1)) for x in mapped}
+
+
+@settings(max_examples=200, deadline=None)
+@given(letter_maps())
+def test_map_letters_matches_reference(case):
+    d, target, letter_map = case
+    assert map_letters(d, target, letter_map).encode() == \
+        reference_automata.map_letters(d, target, letter_map).encode()
+
+
 def test_json_roundtrip():
     d = minimize(single_word_dfa(AB, (3, 0)))
     doc = d.to_json_dict()

@@ -1,9 +1,17 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import all_three_vertex_graphs, complete_graph, small_graphs, z_star_zn
+import reference_languages
+from conftest import (
+    all_three_vertex_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    small_graphs,
+    z_star_zn,
+)
 from raaggrowth import (
     GraphError,
     SimpleGraph,
@@ -17,7 +25,7 @@ from raaggrowth import (
     part1_crosscheck,
     support_exact,
 )
-from raaggrowth import pipeline
+from raaggrowth import languages, pipeline
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
@@ -140,7 +148,7 @@ def test_bounds_and_errors(path4, monkeypatch):
     def no_work(*args):
         raise AssertionError("a graph above the vertex bound reached the block stage")
 
-    monkeypatch.setattr(pipeline, "cycsl_support_fsa", no_work)
+    monkeypatch.setattr(pipeline, "cycsl_support_series", no_work)
     labels = [f"v{i}" for i in range(pipeline.MAX_VERTICES + 1)]
     with pytest.raises(GraphError, match=f"{len(labels)} vertices"):
         spherical_conj_series(SimpleGraph.make(labels, []), 4)
@@ -218,11 +226,42 @@ def test_free_product_with_z_formula():
         assert lhs.coefficients == rhs.coefficients
 
 
-def test_timing_and_size_diagnostics(z2):
-    report = spherical_conj_series(z2, 4)
-    assert set(report.automaton_states) == set(report.per_subset)
-    assert all(t >= 0 for t in report.timings.values())
-    assert all(s >= 1 for s in report.automaton_states.values())
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_graphs(max_vertices=5))
+@example(path_graph(4))
+@example(path_graph(5))
+@example(cycle_graph(5))
+def test_block_series_match_per_block_automata(g):
+    # the Mobius sum over letter restrictions of one closure per maximal
+    # block gives every block's reduced fraction, and so sigma~, exactly as
+    # the block's own support-restricted automaton does
+    degree = 10
+    report = spherical_conj_series(g, degree)
+    want_sigma, want_blocks = reference_languages.spherical_conj_series(g, degree)
+    assert report.sigma_tilde == want_sigma
+    assert {block: rf for block, (rf, _) in report.per_subset.items()} == want_blocks
+    if want_blocks:
+        largest = max(want_blocks, key=len)
+        assert languages.cycsl_support_series(g, largest, degree)[0] == want_blocks[largest]
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(3),  # Z^3: three one-vertex maximal blocks
+    SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]),  # Z x F2: {a} and {b, c}
+])
+def test_one_closure_per_maximal_block(g, monkeypatch):
+    closed = []
+    real = languages.cycsl_fsa
+
+    def recording(induced):
+        closed.append(induced.vertices)
+        return real(induced)
+
+    monkeypatch.setattr(languages, "cycsl_fsa", recording)
+    spherical_conj_series(g, 6)
+    maximal = [tuple(g.vertices[v] for v in block) for block in g.decompose(range(g.n_vertices))]
+    assert len(maximal) > 1
+    assert sorted(closed) == sorted(maximal)
 
 
 @st.composite

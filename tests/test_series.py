@@ -238,3 +238,17 @@ def test_series_mul_truncates_to_min_degree():
     a = PowerSeries.from_list([1, 1, 1])
     b = PowerSeries.from_list([1, 2])
     assert (a * b).coefficients == (1, 3)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+)
+def test_power_series_arithmetic_matches_definition(a, b):
+    # every operation truncates at the smaller of the two degrees
+    n = min(len(a), len(b))
+    left, right = PowerSeries.from_list(a), PowerSeries.from_list(b)
+    assert (left + right).coefficients == tuple(a[i] + b[i] for i in range(n))
+    assert (left - right).coefficients == tuple(a[i] - b[i] for i in range(n))
+    product = tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n))
+    assert (left * right).coefficients == product
