@@ -12,18 +12,16 @@ their encodings coincide.
 ``growth_series`` produces the generating function counting accepted words by
 length, as an exact integer rational function.  It works for any coefficient
 size: counts are computed with Python big ints, and every returned fraction is
-*proved* by one of two certificates.  First, a Berlekamp-Massey candidate
-recurrence is accepted when it annihilates the whole vector sequence A^n v of
-the trim transition matrix (a Krylov residual check).  When that residual is
-nonzero, a denominator and a numerator-degree bound are proved from the
-strongly connected components of the trim automaton (transfer-matrix method),
-and the numerator is read off that many counts.
+*proved* by one certificate.  The trim automaton is first lumped to its
+coarsest count-preserving quotient (forward bisimulation: states are merged
+while they agree on acceptance and on the multiset of blocks they move to);
+stability of that partition, A P = P B, makes the quotient's count sequence
+equal to the automaton's.  On the quotient, a denominator and a
+numerator-degree bound are proved from the strongly connected components
+(transfer-matrix method), and the numerator is read off that many counts.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd
 
 from .graphs import OrderedAlphabet
 from .series import InvariantError, RationalFunction, poly_mul, poly_trim
@@ -391,63 +389,29 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
 # ---------------------------------------------------------------------------
 
 def count_words(dfa: Dfa, max_degree: int) -> tuple:
-    """Accepted-word counts of lengths 0..max_degree, by exact big-int dynamic programming."""
+    """Accepted-word counts of lengths 0..max_degree, by exact big-int counting on
+    the lumped trim automaton (see ``_TrimmedCounting``)."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    size = dfa.alphabet.size
-    transitions = dfa.transitions
-    y = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
-    counts = [y[dfa.initial]]
-    for _ in range(max_degree):
-        y = [
-            sum(y[t] for t in transitions[q * size:(q + 1) * size])
-            for q in range(dfa.n_states)
-        ]
-        counts.append(y[dfa.initial])
-    return tuple(counts)
-
-
-def _berlekamp_massey(sequence):
-    """Shortest LFSR over Q: C with C[0]=1, sum_i C[i]*s[n-i] = 0 for n >= len(C)-1."""
-    C = [Fraction(1)]
-    B = [Fraction(1)]
-    L, m, b = 0, 1, Fraction(1)
-    for n, s_n in enumerate(sequence):
-        d = Fraction(s_n)
-        for i in range(1, L + 1):
-            d += C[i] * sequence[n - i]
-        if d == 0:
-            m += 1
-            continue
-        coef = d / b
-        if 2 * L <= n:
-            T = list(C)
-            while len(C) < len(B) + m:
-                C.append(Fraction(0))
-            for i, c in enumerate(B):
-                C[i + m] -= coef * c
-            L = n + 1 - L
-            B = T
-            b = d
-            m = 1
-        else:
-            while len(C) < len(B) + m:
-                C.append(Fraction(0))
-            for i, c in enumerate(B):
-                C[i + m] -= coef * c
-            m += 1
-    # the connection polynomial has degree <= L; keep exactly L+1 taps
-    # (trailing zeros are meaningful: the recurrence order is L, not deg C)
-    if any(C[L + 1:]):
-        raise InvariantError("Berlekamp-Massey left nonzero taps past the recurrence order")
-    del C[L + 1:]
-    while len(C) < L + 1:
-        C.append(Fraction(0))
-    return C
+    work = _TrimmedCounting(dfa)
+    if work.empty:
+        return (0,) * (max_degree + 1)
+    work.extend_to(max_degree)
+    return tuple(work.counts)
 
 
 class _TrimmedCounting:
-    """Count DP on the trim part (reachable and co-reachable) of a DFA."""
+    """Count DP on the coarsest count-preserving quotient of a DFA's trim part.
+
+    The trim part keeps the states that are reachable and co-reachable.  Its
+    states are then lumped: starting from accepting versus rejecting, a block
+    is split by the multiset of blocks its states move to, until no block
+    splits.  That is the coarsest ordinary lumpable partition, i.e. forward
+    bisimulation of the automaton read as a weighted one (Buchholz, TCS 2008).
+    Each block keeps the outgoing row of one representative, mapped to blocks
+    with multiplicity, so ``outgoing``, ``initial`` and ``n`` describe the
+    quotient, and ``extend_to`` fills ``counts`` from it.
+    """
 
     def __init__(self, dfa: Dfa):
         size = dfa.alphabet.size
@@ -465,75 +429,63 @@ class _TrimmedCounting:
         if self.empty:
             return
         index = {q: i for i, q in enumerate(trim)}
-        self.n = len(trim)
-        self.outgoing = []  # per trim state, list of trim targets (with multiplicity)
+        outgoing = []  # per trim state, list of trim targets (with multiplicity)
         for q in trim:
             base = q * size
-            self.outgoing.append(
+            outgoing.append(
                 [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
             )
-        self.initial = index[dfa.initial]
-        self.v0 = [1 if q in dfa.accepting else 0 for q in trim]
-        self.vector = list(self.v0)
-        self.counts = [self.vector[self.initial]]
+        accepting = [1 if q in dfa.accepting else 0 for q in trim]
 
-    def step_vector(self, y):
-        return [sum(map(y.__getitem__, row)) for row in self.outgoing]
+        # each pass splits the previous blocks and numbers the new ones by their
+        # first state, so the quotient is canonical
+        block, count = accepting, 0
+        while True:
+            signatures = {}
+            block = [
+                signatures.setdefault((block[q], tuple(sorted(map(block.__getitem__, row)))),
+                                      len(signatures))
+                for q, row in enumerate(outgoing)
+            ]
+            if len(signatures) == count:
+                break
+            count = len(signatures)
+        representatives = {}
+        for q, b in enumerate(block):
+            representatives.setdefault(b, q)
+        self.n = count
+        self.outgoing = [[block[t] for t in outgoing[q]] for q in representatives.values()]
+        self.initial = block[index[dfa.initial]]
+        self.vector = [accepting[q] for q in representatives.values()]  # B^0 v'
+        self.counts = [self.vector[self.initial]]
 
     def extend_to(self, k: int):
         while len(self.counts) <= k:
-            self.vector = self.step_vector(self.vector)
+            self.vector = [sum(map(self.vector.__getitem__, row)) for row in self.outgoing]
             self.counts.append(self.vector[self.initial])
 
 
 def growth_series(dfa: Dfa) -> RationalFunction:
     """Exact rational generating function of the accepted-word counts.
 
-    Any complete DFA is accepted; it need not be minimal, since both
-    certificates below are proofs for any automaton and the counting works
-    on its trim part.  Let A be the transition matrix of the trim automaton,
-    v the indicator of its accepting states and e that of the initial state,
-    so that the count of length n is e A^n v and the series is
-    F = e (I - zA)^{-1} v.  Two certificates prove the returned fraction;
-    neither can fail.
+    Any complete DFA is accepted; it need not be minimal.  Let A be the
+    transition matrix of the trim automaton, v the indicator of its accepting
+    states and e that of the initial state, so that the count of length n is
+    e A^n v and the series is F = e (I - zA)^{-1} v.
 
-    1. *Krylov.*  Berlekamp-Massey proposes a recurrence with connection
-       polynomial D of order L from the first counts.  If the vector
-       sum_m D[L-m] A^m v is zero, then D annihilates e A^n v for all n,
-       so D F is a polynomial of degree < L and is read off the counts.
-       This certifies most automata cheaply, but the residual is nonzero
-       whenever the initial state's sequence cancels a factor that the
-       vector sequence A^n v carries.
-    2. *Transfer matrix* (Stanley, EC1 §4.7), see ``_transfer_matrix_series``:
-       a denominator Q and a numerator degree bound N are proved from the
-       strongly connected components of the trim automaton, and the
-       numerator is Q F truncated at degree N.
+    The counting runs on the lumped quotient of ``_TrimmedCounting``.  With P
+    the 0/1 matrix sending each trim state to its block and B the quotient's
+    transition matrix, stability of the partition says A P = P B, and v = P v'
+    because acceptance is constant on blocks.  So A^n v = P B^n v', and e A^n v
+    is the entry of B^n v' at the initial state's block: the quotient has the
+    same count sequence.  B is a nonnegative integer matrix, so one
+    certificate proves the returned fraction on it: the transfer-matrix bound
+    of ``_transfer_matrix_series`` (Stanley, EC1 §4.7), which cannot fail.
     """
     work = _TrimmedCounting(dfa)
     if work.empty:
         return RationalFunction.make([0])
-
-    window = 32
-    while True:
-        work.extend_to(window - 1)
-        connection = _berlekamp_massey(work.counts[:window])
-        order = len(connection) - 1
-        if 2 * order + 4 <= window or window >= 2 * work.n + 4:
-            break
-        window = min(max(window * 2, 2 * order + 8), 2 * work.n + 4)
-    denominator = _fractions_to_int_poly(connection)
-    if not _krylov_annihilates(work, denominator):
-        return _transfer_matrix_series(work)
-    return RationalFunction.make(_truncated_product(denominator, work.counts, order - 1),
-                                 denominator)
-
-
-def _fractions_to_int_poly(fracs):
-    """Clear denominators, preserving length (trailing zeros carry the order)."""
-    lcm = 1
-    for c in fracs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in fracs]
+    return _transfer_matrix_series(work)
 
 
 def _truncated_product(poly, counts, top: int):
@@ -544,16 +496,12 @@ def _truncated_product(poly, counts, top: int):
     ]
 
 
-def _krylov_annihilates(work: _TrimmedCounting, denominator) -> bool:
-    """Whether sum_i D[i] A^(L-i) v = 0, by Horner's rule (D = denominator, L = order)."""
-    residual = [denominator[0] * x for x in work.v0]
-    for c in denominator[1:]:
-        residual = [r + c * x for r, x in zip(work.step_vector(residual), work.v0)]
-    return not any(residual)
-
-
 def _transfer_matrix_series(work: _TrimmedCounting) -> RationalFunction:
-    """Growth series proved from the component structure of the trim automaton.
+    """Growth series proved from the component structure of a counting automaton.
+
+    ``work`` is shaped like ``_TrimmedCounting``: ``n`` states whose
+    ``outgoing`` rows list targets with multiplicity (a nonnegative integer
+    matrix A), an ``initial`` state and counts e A^n v from ``extend_to``.
 
     Order the states by strongly connected component C, sinks first.  The
     vector F_C of the series of C's states satisfies

@@ -313,14 +313,18 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     subset S, the geodesics that carry a shuffle-rotatable cancelling pair at
     each vertex of S, with alternating signs.  The subsets are walked depth
     first in increasing vertex order, so each intersection extends its
-    parent's by one automaton: 2^n - 1 intersections, and at most n + 1
-    automata alive at once.
+    parent's by one automaton: at most 2^n - 1 intersections, and at most
+    n + 1 automata alive at once.  A subtree whose automaton (minimal, as
+    ``intersect`` returns it) has no accepting state is cut, since every
+    further intersection is empty too.
     """
     lprimes = [minimize(lprime_fsa(g, v)) for v in range(g.n_vertices)]
 
     def signed_sum(automaton: Dfa, first: int) -> RationalFunction:
         # sum over subsets T of {first, ..., n-1} of (-1)^|T| * growth(automaton & L'_T)
         total = growth_series(automaton)
+        if not automaton.accepting:
+            return total  # the empty language: every further intersection is empty too
         for v in range(first, g.n_vertices):
             total = total - signed_sum(intersect(automaton, lprimes[v]), v + 1)
         return total

@@ -22,7 +22,6 @@ non-integrality is reported as an error, never rounded away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -118,25 +117,30 @@ def poly_gcd(a, b):
 
 
 def poly_divide_exact(a, b):
-    """Quotient a/b when b divides a exactly over the rationals."""
-    a = [Fraction(x) for x in poly_trim(a)]
+    """Quotient a/b of integer polynomials; ValueError unless it is exact over Z.
+
+    Long division from the top, one ``divmod`` by b's leading coefficient per
+    step.  ``RationalFunction.make`` divides only by the primitive
+    ``poly_gcd``, and by Gauss's lemma a primitive factor of an integer
+    polynomial leaves an integer quotient, so no step there has a remainder.
+    """
+    a = poly_trim(a)
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        while a and a[-1] == 0:
-            a.pop()
+    lead = b[-1]
+    out = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in reversed(range(len(out))):
+        factor, remainder = divmod(a[shift + len(b) - 1], lead)
+        if remainder:
+            raise ValueError("polynomial division is not exact over the integers")
+        if factor:
+            out[shift] = factor
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
     if any(a):
         raise ValueError("polynomial division is not exact")
-    if any(c.denominator != 1 for c in out):
-        raise NonIntegralCoefficient("exact quotient has non-integer coefficients")
-    return poly_trim([int(c) for c in out])
+    return poly_trim(out)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,29 @@
   the subset construction over epsilon closures, and minimize as above.
 * ``map_letters``: fill the new transition table one lookup per state and
   target letter, and minimize as above.
+* ``count_words``: the count DP on the whole automaton, one vector entry per
+  state.
+* ``growth_series``: Berlekamp-Massey over the rationals proposes a
+  recurrence from a window of counts of the *unlumped* trim automaton; it is
+  accepted when its connection polynomial annihilates the whole vector
+  sequence A^n v (a Krylov residual check), and otherwise the fraction comes
+  from ``automata._transfer_matrix_series`` on that unlumped automaton.
 
-The tests compare ``automata.minimize``, ``automata.concat`` and
-``automata.map_letters`` against them.
+The tests compare ``automata.minimize``, ``automata.concat``,
+``automata.map_letters``, ``automata.count_words`` and
+``automata.growth_series`` against them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
+from math import gcd
 
+from raaggrowth import automata
 from raaggrowth.automata import Dfa
 from raaggrowth.graphs import OrderedAlphabet
+from raaggrowth.series import InvariantError, RationalFunction
 
 
 def restrict_reachable(dfa: Dfa) -> Dfa:
@@ -194,3 +206,134 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
             table.append(dfa.transitions[q * dfa.alphabet.size + local] if local is not None else sink)
     table.extend([sink] * size)
     return minimize(Dfa(target, sink + 1, table, dfa.initial, dfa.accepting))
+
+
+def count_words(dfa: Dfa, max_degree: int) -> tuple:
+    """Accepted-word counts of lengths 0..max_degree, by the count DP on all states."""
+    size = dfa.alphabet.size
+    transitions = dfa.transitions
+    y = [1 if q in dfa.accepting else 0 for q in range(dfa.n_states)]
+    counts = [y[dfa.initial]]
+    for _ in range(max_degree):
+        y = [
+            sum(y[t] for t in transitions[q * size:(q + 1) * size])
+            for q in range(dfa.n_states)
+        ]
+        counts.append(y[dfa.initial])
+    return tuple(counts)
+
+
+class TrimmedCounting:
+    """Count DP on the trim part (reachable and co-reachable) of a DFA, unlumped."""
+
+    def __init__(self, dfa: Dfa):
+        size = dfa.alphabet.size
+        reachable = set()
+        stack = [dfa.initial]
+        while stack:
+            q = stack.pop()
+            if q in reachable:
+                continue
+            reachable.add(q)
+            base = q * size
+            stack.extend(dfa.transitions[base + x] for x in range(size))
+        trim = sorted(reachable & automata._coreachable(dfa))
+        self.empty = dfa.initial not in trim
+        if self.empty:
+            return
+        index = {q: i for i, q in enumerate(trim)}
+        self.n = len(trim)
+        self.outgoing = []
+        for q in trim:
+            base = q * size
+            self.outgoing.append(
+                [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
+            )
+        self.initial = index[dfa.initial]
+        self.v0 = [1 if q in dfa.accepting else 0 for q in trim]
+        self.vector = list(self.v0)
+        self.counts = [self.vector[self.initial]]
+
+    def step_vector(self, y):
+        return [sum(map(y.__getitem__, row)) for row in self.outgoing]
+
+    def extend_to(self, k: int):
+        while len(self.counts) <= k:
+            self.vector = self.step_vector(self.vector)
+            self.counts.append(self.vector[self.initial])
+
+
+def berlekamp_massey(sequence):
+    """Shortest LFSR over Q: C with C[0]=1, sum_i C[i]*s[n-i] = 0 for n >= len(C)-1."""
+    C = [Fraction(1)]
+    B = [Fraction(1)]
+    L, m, b = 0, 1, Fraction(1)
+    for n, s_n in enumerate(sequence):
+        d = Fraction(s_n)
+        for i in range(1, L + 1):
+            d += C[i] * sequence[n - i]
+        if d == 0:
+            m += 1
+            continue
+        coef = d / b
+        if 2 * L <= n:
+            T = list(C)
+            while len(C) < len(B) + m:
+                C.append(Fraction(0))
+            for i, c in enumerate(B):
+                C[i + m] -= coef * c
+            L = n + 1 - L
+            B = T
+            b = d
+            m = 1
+        else:
+            while len(C) < len(B) + m:
+                C.append(Fraction(0))
+            for i, c in enumerate(B):
+                C[i + m] -= coef * c
+            m += 1
+    # the connection polynomial has degree <= L; keep exactly L+1 taps
+    # (trailing zeros are meaningful: the recurrence order is L, not deg C)
+    if any(C[L + 1:]):
+        raise InvariantError("Berlekamp-Massey left nonzero taps past the recurrence order")
+    del C[L + 1:]
+    while len(C) < L + 1:
+        C.append(Fraction(0))
+    return C
+
+
+def fractions_to_int_poly(fracs):
+    """Clear denominators, preserving length (trailing zeros carry the order)."""
+    lcm = 1
+    for c in fracs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    return [int(c * lcm) for c in fracs]
+
+
+def krylov_annihilates(work: TrimmedCounting, denominator) -> bool:
+    """Whether sum_i D[i] A^(L-i) v = 0, by Horner's rule (D = denominator, L = order)."""
+    residual = [denominator[0] * x for x in work.v0]
+    for c in denominator[1:]:
+        residual = [r + c * x for r, x in zip(work.step_vector(residual), work.v0)]
+    return not any(residual)
+
+
+def growth_series(dfa: Dfa) -> RationalFunction:
+    """Growth series by a Krylov-checked Berlekamp-Massey candidate on the
+    unlumped trim automaton, with the transfer-matrix certificate as fallback."""
+    work = TrimmedCounting(dfa)
+    if work.empty:
+        return RationalFunction.make([0])
+    window = 32
+    while True:
+        work.extend_to(window - 1)
+        connection = berlekamp_massey(work.counts[:window])
+        order = len(connection) - 1
+        if 2 * order + 4 <= window or window >= 2 * work.n + 4:
+            break
+        window = min(max(window * 2, 2 * order + 8), 2 * work.n + 4)
+    denominator = fractions_to_int_poly(connection)
+    if not krylov_annihilates(work, denominator):
+        return automata._transfer_matrix_series(work)
+    return RationalFunction.make(
+        automata._truncated_product(denominator, work.counts, order - 1), denominator)

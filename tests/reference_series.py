@@ -3,13 +3,16 @@
 * ``poly_gcd``: Euclid's algorithm over the rationals.  Remainders are taken
   with ``Fraction`` coefficients; the last nonzero one is cleared of
   denominators, made primitive and given a positive leading coefficient.
+* ``poly_divide_exact``: long division over the rationals with ``Fraction``
+  coefficients; a nonzero remainder raises ``ValueError`` and a non-integer
+  quotient ``NonIntegralCoefficient``.
 * ``neck``: the necklace transform as its defining double sum over k and l,
   in exact rational arithmetic.
 * ``rho_integral_form``: ``rho`` by integrating sum_k phi(k) f(t^k) / t term
   by term.
 
-The tests compare ``series.poly_gcd``, ``series.neck`` and ``series.rho``
-against them.
+The tests compare ``series.poly_gcd``, ``series.poly_divide_exact``,
+``series.neck`` and ``series.rho`` against them.
 """
 
 from __future__ import annotations
@@ -56,6 +59,28 @@ def poly_gcd(a, b):
     if base and base[-1] < 0:
         base = poly_neg(base)
     return base
+
+
+def poly_divide_exact(a, b):
+    """Quotient a/b when b divides a exactly over the rationals."""
+    a = [Fraction(x) for x in poly_trim(a)]
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b) and any(a):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        out[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        while a and a[-1] == 0:
+            a.pop()
+    if any(a):
+        raise ValueError("polynomial division is not exact")
+    if any(c.denominator != 1 for c in out):
+        raise NonIntegralCoefficient("exact quotient has non-integer coefficients")
+    return poly_trim([int(c) for c in out])
 
 
 def substitute_power(f: PowerSeries, k: int) -> PowerSeries:

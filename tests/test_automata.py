@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_automata
+from conftest import cycle_graph, path_graph
 from raaggrowth import automata
 from raaggrowth import (
     AlphabetMismatch,
@@ -13,6 +14,7 @@ from raaggrowth import (
     all_words_dfa,
     complement_lang,
     concat,
+    conjgeo_fsa,
     count_words,
     cyc_perm,
     empty_language_dfa,
@@ -188,8 +190,6 @@ def test_cyc_perm_matches_brute_force():
 
 
 def test_cyc_perm_fixes_conjugacy_geodesics():
-    from raaggrowth import conjgeo_fsa
-
     g = SimpleGraph.make(["a", "b", "c"], [["a", "b"]])
     d = conjgeo_fsa(g)
     assert equivalent(cyc_perm(d), d)
@@ -249,6 +249,25 @@ def test_transfer_matrix_series_matches_counts(d):
     assert rf.expand(40).coefficients == tuple(count_words(d, 40))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([AB, A1]).flatmap(
+    lambda alphabet: st.one_of(random_dfas(alphabet, max_states=8),
+                               random_dfas(alphabet, max_states=8, random_initial=True))))
+def test_growth_series_matches_reference(d):
+    rf = growth_series(d)
+    expected = reference_automata.growth_series(d)
+    assert (rf.num, rf.den) == (expected.num, expected.den)
+    assert count_words(d, 12) == reference_automata.count_words(d, 12)
+
+
+@pytest.mark.parametrize("graph, size", [(path_graph(5), 72), (cycle_graph(6), 25)])
+def test_lumped_quotient_is_coarsest(graph, size):
+    # the coarsest count-preserving quotient of the conjugacy-geodesic
+    # acceptor; splitting by the set instead of the multiset of successor
+    # blocks merges states with different counts and lands elsewhere
+    assert automata._TrimmedCounting(conjgeo_fsa(graph)).n == size
+
+
 def test_transfer_matrix_series_repeated_component():
     # a* A a* A a*: three components with the same determinant 1-z in a chain,
     # so the denominator needs (1-z)^3, not the max-merge alone
@@ -266,8 +285,10 @@ def test_det_one_minus_z_small_components():
 def test_growth_series_reduces_factor_cancelled_at_initial_state(monkeypatch):
     # 0 -a-> 1 <-a-> 2 <-A- 0, accepting {1}, every other move to the sink 3.
     # From 1 the series is 1/(1-z^2), from 2 it is z/(1-z^2); the initial
-    # state sees their sum z/(1-z), so the vector sequence carries the factor
-    # 1+z that the count sequence cancels and the Krylov residual is nonzero.
+    # state sees their sum z/(1-z).  The three trim states lie in different
+    # blocks (accepting 1; 0 moves to two blocks, 2 to one), so the quotient
+    # keeps all three, its denominator carries the factor 1+z, and the
+    # returned fraction must still come out reduced.
     d = Dfa(A1, 4, [1, 2, 2, 3, 1, 3, 3, 3], 0, {1})
     assert list(count_words(d, 6)) == [0, 1, 1, 1, 1, 1, 1]
     routes = []

@@ -29,6 +29,7 @@ from raaggrowth import (
     all_words_dfa,
     epsilon_dfa,
 )
+from raaggrowth import languages
 from raaggrowth.series import RationalFunction
 
 
@@ -212,6 +213,27 @@ def test_inclusions_between_languages(graph_index):
                          ids=[str(i) for i in range(8)] + ["P5", "C5"])
 def test_incl_excl_matches_direct(g):
     assert conjgeo_series_incl_excl(g) == growth_series(conjgeo_fsa(g))
+
+
+@pytest.mark.parametrize("g, calls", [(path_graph(5), 21), (cycle_graph(5), 21),
+                                      (path_graph(6), 31), (cycle_graph(6), 31)],
+                         ids=["P5", "C5", "P6", "C6"])
+def test_incl_excl_prunes_empty_intersections(monkeypatch, g, calls):
+    # only the cliques of g survive as nonempty intersections; without the
+    # cut each of the 2^n - 1 nonempty vertex subsets costs one.  The
+    # geodesic acceptor is built up front, so its own products are not counted
+    geodesics = geo_fsa(g)
+    original = languages.intersect
+    seen = []
+
+    def spy(a, b):
+        seen.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(languages, "geo_fsa", lambda _: geodesics)
+    monkeypatch.setattr(languages, "intersect", spy)
+    conjgeo_series_incl_excl(g)
+    assert len(seen) == calls
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_series
 from raaggrowth.series import (
@@ -80,6 +80,25 @@ def test_poly_gcd_matches_rational_euclid(p, q, common):
     assert g == [] or g[-1] > 0
     if g and any(common):
         poly_divide_exact(g, poly_primitive(common))  # the planted factor divides the gcd
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomials, polynomials, polynomials)
+@example([1, 1], [1], [2, 2])  # exact over Q, quotient 1/2 not integral
+def test_poly_divide_exact_matches_fraction_division(a, q, b):
+    # exact multiples, with and without an integer quotient when b is not
+    # primitive, and arbitrary pairs, which mostly leave a remainder
+    for dividend in (poly_mul(q, b), a):
+        try:
+            expected = reference_series.poly_divide_exact(dividend, b)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                poly_divide_exact(dividend, b)
+        except (ValueError, NonIntegralCoefficient):
+            with pytest.raises(ValueError):
+                poly_divide_exact(dividend, b)
+        else:
+            assert poly_divide_exact(dividend, b) == expected
 
 
 def test_poly_gcd_zero_and_constant_operands():
