@@ -13,12 +13,13 @@ their encodings coincide.
 length, as an exact integer rational function.  It works for any coefficient
 size: counts are computed with Python big ints, and every returned fraction is
 *proved* by one certificate.  The trim automaton is first lumped to its
-coarsest count-preserving quotient (forward bisimulation: states are merged
+coarsest count-preserving quotient B (forward bisimulation: states are merged
 while they agree on acceptance and on the multiset of blocks they move to);
 stability of that partition, A P = P B, makes the quotient's count sequence
-equal to the automaton's.  On the quotient, a denominator and a
-numerator-degree bound are proved from the strongly connected components
-(transfer-matrix method), and the numerator is read off that many counts.
+equal to the automaton's.  On the n-state quotient the series is
+e adj(I - zB) v / det(I - zB) (transfer-matrix method): the denominator is the
+product of det(I - zB_C) over the strongly connected components C, and the
+numerator is read off the first n counts.
 """
 
 from __future__ import annotations
@@ -47,17 +48,14 @@ class Dfa:
         self.transitions = tuple(transitions)  # row-major: state * size + letter
         self.initial = initial
         self.accepting = frozenset(accepting)
-        size = alphabet.size
-        if len(self.transitions) != n_states * size:
+        if len(self.transitions) != n_states * alphabet.size:
             raise ValueError("transition table size does not match state count")
         if not 0 <= initial < max(n_states, 1):
             raise ValueError("initial state out of range")
-        for t in self.transitions:
-            if not 0 <= t < n_states:
-                raise ValueError("transition target out of range")
-        for q in self.accepting:
-            if not 0 <= q < n_states:
-                raise ValueError("accepting state out of range")
+        if self.transitions and (min(self.transitions) < 0 or max(self.transitions) >= n_states):
+            raise ValueError("transition target out of range")
+        if self.accepting and (min(self.accepting) < 0 or max(self.accepting) >= n_states):
+            raise ValueError("accepting state out of range")
 
     def accepts(self, word) -> bool:
         q = self.initial
@@ -389,19 +387,15 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
 # ---------------------------------------------------------------------------
 
 def count_words(dfa: Dfa, max_degree: int) -> tuple:
-    """Accepted-word counts of lengths 0..max_degree, by exact big-int counting on
-    the lumped trim automaton (see ``_TrimmedCounting``)."""
+    """Accepted-word counts of lengths 0..max_degree: the expansion of
+    ``growth_series``."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    work = _TrimmedCounting(dfa)
-    if work.empty:
-        return (0,) * (max_degree + 1)
-    work.extend_to(max_degree)
-    return tuple(work.counts)
+    return growth_series(dfa).expand(max_degree).coefficients
 
 
-class _TrimmedCounting:
-    """Count DP on the coarsest count-preserving quotient of a DFA's trim part.
+def _lumped_quotient(dfa: Dfa):
+    """The coarsest count-preserving quotient of a DFA's trim part.
 
     The trim part keeps the states that are reachable and co-reachable.  Its
     states are then lumped: starting from accepting versus rejecting, a block
@@ -409,60 +403,51 @@ class _TrimmedCounting:
     splits.  That is the coarsest ordinary lumpable partition, i.e. forward
     bisimulation of the automaton read as a weighted one (Buchholz, TCS 2008).
     Each block keeps the outgoing row of one representative, mapped to blocks
-    with multiplicity, so ``outgoing``, ``initial`` and ``n`` describe the
-    quotient, and ``extend_to`` fills ``counts`` from it.
+    with multiplicity.  Returns ``(rows, initial, vector)``: those rows, the
+    initial state's block and the blocks' acceptance indicator; or ``None``
+    when the trim part is empty.
     """
+    size = dfa.alphabet.size
+    reachable = set()
+    stack = [dfa.initial]
+    while stack:
+        q = stack.pop()
+        if q in reachable:
+            continue
+        reachable.add(q)
+        base = q * size
+        stack.extend(dfa.transitions[base + x] for x in range(size))
+    trim = sorted(reachable & _coreachable(dfa))
+    if dfa.initial not in trim:
+        return None
+    index = {q: i for i, q in enumerate(trim)}
+    outgoing = []  # per trim state, list of trim targets (with multiplicity)
+    for q in trim:
+        base = q * size
+        outgoing.append(
+            [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
+        )
+    accepting = [1 if q in dfa.accepting else 0 for q in trim]
 
-    def __init__(self, dfa: Dfa):
-        size = dfa.alphabet.size
-        reachable = set()
-        stack = [dfa.initial]
-        while stack:
-            q = stack.pop()
-            if q in reachable:
-                continue
-            reachable.add(q)
-            base = q * size
-            stack.extend(dfa.transitions[base + x] for x in range(size))
-        trim = sorted(reachable & _coreachable(dfa))
-        self.empty = dfa.initial not in trim
-        if self.empty:
-            return
-        index = {q: i for i, q in enumerate(trim)}
-        outgoing = []  # per trim state, list of trim targets (with multiplicity)
-        for q in trim:
-            base = q * size
-            outgoing.append(
-                [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
-            )
-        accepting = [1 if q in dfa.accepting else 0 for q in trim]
-
-        # each pass splits the previous blocks and numbers the new ones by their
-        # first state, so the quotient is canonical
-        block, count = accepting, 0
-        while True:
-            signatures = {}
-            block = [
-                signatures.setdefault((block[q], tuple(sorted(map(block.__getitem__, row)))),
-                                      len(signatures))
-                for q, row in enumerate(outgoing)
-            ]
-            if len(signatures) == count:
-                break
-            count = len(signatures)
-        representatives = {}
-        for q, b in enumerate(block):
-            representatives.setdefault(b, q)
-        self.n = count
-        self.outgoing = [[block[t] for t in outgoing[q]] for q in representatives.values()]
-        self.initial = block[index[dfa.initial]]
-        self.vector = [accepting[q] for q in representatives.values()]  # B^0 v'
-        self.counts = [self.vector[self.initial]]
-
-    def extend_to(self, k: int):
-        while len(self.counts) <= k:
-            self.vector = [sum(map(self.vector.__getitem__, row)) for row in self.outgoing]
-            self.counts.append(self.vector[self.initial])
+    # each pass splits the previous blocks and numbers the new ones by their
+    # first state, so the quotient is canonical
+    block, count = accepting, 0
+    while True:
+        signatures = {}
+        block = [
+            signatures.setdefault((block[q], tuple(sorted(map(block.__getitem__, row)))),
+                                  len(signatures))
+            for q, row in enumerate(outgoing)
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    representatives = {}
+    for q, b in enumerate(block):
+        representatives.setdefault(b, q)
+    rows = [[block[t] for t in outgoing[q]] for q in representatives.values()]
+    vector = [accepting[q] for q in representatives.values()]
+    return rows, block[index[dfa.initial]], vector
 
 
 def growth_series(dfa: Dfa) -> RationalFunction:
@@ -470,153 +455,76 @@ def growth_series(dfa: Dfa) -> RationalFunction:
 
     Any complete DFA is accepted; it need not be minimal.  Let A be the
     transition matrix of the trim automaton, v the indicator of its accepting
-    states and e that of the initial state, so that the count of length n is
-    e A^n v and the series is F = e (I - zA)^{-1} v.
+    states and e that of the initial state, so that the count of length m is
+    e A^m v and the series is F = e (I - zA)^{-1} v.
 
-    The counting runs on the lumped quotient of ``_TrimmedCounting``.  With P
-    the 0/1 matrix sending each trim state to its block and B the quotient's
+    The counting runs on the quotient of ``_lumped_quotient``.  With P the
+    0/1 matrix sending each trim state to its block and B the quotient's
     transition matrix, stability of the partition says A P = P B, and v = P v'
-    because acceptance is constant on blocks.  So A^n v = P B^n v', and e A^n v
-    is the entry of B^n v' at the initial state's block: the quotient has the
-    same count sequence.  B is a nonnegative integer matrix, so one
-    certificate proves the returned fraction on it: the transfer-matrix bound
-    of ``_transfer_matrix_series`` (Stanley, EC1 §4.7), which cannot fail.
+    because acceptance is constant on blocks.  So A^m v = P B^m v', and e A^m v
+    is the entry of B^m v' at the initial state's block: the quotient has the
+    same count sequence, and F = e' (I - zB)^{-1} v' with e' the initial block.
+
+    The fraction is proved by the transfer-matrix method (Stanley, EC1 Thm
+    4.7.2) on the n-state quotient:
+
+    1. (I - zB)^{-1} = adj(I - zB) / Q with Q = det(I - zB), and Q(0) = 1.
+    2. Each entry of adj(I - zB) is a minor of order n - 1 of a matrix of
+       polynomials of degree <= 1, so Q F = e' adj(I - zB) v' has degree <= n - 1.
+    3. Ordered by strongly connected component, I - zB is block triangular,
+       so Q is the product of det(I - zB_C) over the components C.
+    4. Hence the polynomial Q F is Q times the series of counts truncated at
+       degree n - 1, which reads only the first n counts.
+
+    ``RationalFunction.make`` reduces the fraction; no further check is needed.
     """
-    work = _TrimmedCounting(dfa)
-    if work.empty:
+    quotient = _lumped_quotient(dfa)
+    if quotient is None:
         return RationalFunction.make([0])
-    return _transfer_matrix_series(work)
-
-
-def _truncated_product(poly, counts, top: int):
-    """Coefficients 0..top of poly(z) * sum_n counts[n] z^n."""
-    return [
-        sum(poly[i] * counts[m - i] for i in range(min(m, len(poly) - 1) + 1))
-        for m in range(top + 1)
-    ]
-
-
-def _transfer_matrix_series(work: _TrimmedCounting) -> RationalFunction:
-    """Growth series proved from the component structure of a counting automaton.
-
-    ``work`` is shaped like ``_TrimmedCounting``: ``n`` states whose
-    ``outgoing`` rows list targets with multiplicity (a nonnegative integer
-    matrix A), an ``initial`` state and counts e A^n v from ``extend_to``.
-
-    Order the states by strongly connected component C, sinks first.  The
-    vector F_C of the series of C's states satisfies
-
-        F_C = (I - zA_C)^{-1} (v_C + z E_C F_out),
-
-    where A_C is the transition matrix inside C, v_C the acceptance vector of
-    C and E_C the edges from C to its successor components.  Write
-    det_C = det(I - zA_C) (1 if C has no internal edge).  By induction from
-    the sinks, every entry of F_s is P/Q_s with deg P <= N(s), where
-
-        Q_C = det_C * Q_out,   Q_out = prod f^e over the max-merge of the
-                                       successors' factor -> exponent maps,
-        N(C) = |C| - 1 + max(deg Q_out, 1 + max_s(N(s) + deg Q_out - deg Q_s)).
-
-    Proof of the step: (I - zA_C)^{-1} = adj(I - zA_C) / det_C, and each entry
-    of the adjugate is a minor of order |C| - 1 of a matrix whose entries are
-    polynomials of degree <= 1, so it has degree <= |C| - 1.  Every Q_s
-    divides Q_out, so v_C + z E_C F_out = (v_C Q_out + z E_C (P_s Q_out/Q_s))
-    / Q_out with numerator degree <= max(deg Q_out, 1 + N(s) + deg Q_out -
-    deg Q_s).  Multiplying by the adjugate adds |C| - 1.
-
-    With C0 the initial state's component, Q = Q_{C0} has Q(0) = 1 and Q F is
-    a polynomial of degree <= N = N(C0), so it equals Q F truncated at N,
-    computed from the first N + 1 counts.  The fraction is exact without any
-    further check; ``RationalFunction.make`` reduces it.
-    """
-    components = _strongly_connected_components(work.outgoing)
-    component_of = [0] * work.n
-    for k, states in enumerate(components):
-        for q in states:
-            component_of[q] = k
-    determinants = {}  # row structure -> det(I - zA_C); components repeat
-    factors = []       # per component: det polynomial -> exponent in Q_C
-    degrees = []       # per component: deg Q_C
-    bounds = []        # per component: N(C)
-    for k, states in enumerate(components):
-        local = {q: i for i, q in enumerate(states)}
-        rows = tuple(
-            tuple(sorted(local[t] for t in work.outgoing[q] if component_of[t] == k))
-            for q in states
-        )
-        successors = {component_of[t] for q in states for t in work.outgoing[q]} - {k}
-        merged = {}
-        for s in successors:
-            for f, e in factors[s].items():
-                if e > merged.get(f, 0):
-                    merged[f] = e
-        degree_out = sum(e * (len(f) - 1) for f, e in merged.items())
-        inner = degree_out
-        for s in successors:
-            inner = max(inner, 1 + bounds[s] + degree_out - degrees[s])
-        bounds.append(len(states) - 1 + inner)
-        if any(rows):
-            if rows not in determinants:
-                determinants[rows] = _det_one_minus_z(rows)
-            det = determinants[rows]
-            merged[det] = merged.get(det, 0) + 1
-            degree_out += len(det) - 1
-        factors.append(merged)
-        degrees.append(degree_out)
-
-    top = component_of[work.initial]
+    rows, initial, vector = quotient
+    n = len(rows)
     denominator = [1]
-    for f, e in factors[top].items():
-        for _ in range(e):
-            denominator = poly_mul(denominator, f)
-    work.extend_to(bounds[top])
-    return RationalFunction.make(_truncated_product(denominator, work.counts, bounds[top]),
-                                 denominator)
+    determinants = {}  # row structure -> det(I - zB_C); components repeat
+    for states in _components(rows):
+        local = {q: i for i, q in enumerate(states)}
+        inner = tuple(tuple(sorted(local[t] for t in rows[q] if t in local)) for q in states)
+        if any(inner):
+            if inner not in determinants:
+                determinants[inner] = _det_one_minus_z(inner)
+            denominator = poly_mul(denominator, determinants[inner])
+    counts = [vector[initial]]
+    for _ in range(n - 1):
+        vector = [sum(map(vector.__getitem__, row)) for row in rows]
+        counts.append(vector[initial])
+    numerator = [
+        sum(denominator[i] * counts[m - i] for i in range(min(m, len(denominator) - 1) + 1))
+        for m in range(n)
+    ]
+    return RationalFunction.make(numerator, denominator)
 
 
-def _strongly_connected_components(outgoing):
-    """Tarjan's algorithm without recursion; components come out sinks first."""
-    n = len(outgoing)
-    number = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if number[root] >= 0:
-            continue
-        frames = [(root, 0)]
-        while frames:
-            v, i = frames.pop()
-            if i == 0:
-                number[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            row = outgoing[v]
-            while i < len(row):
-                w = row[i]
-                i += 1
-                if number[w] < 0:
-                    frames.append((v, i))
-                    frames.append((w, 0))
-                    break
-                if on_stack[w] and number[w] < low[v]:
-                    low[v] = number[w]
-            else:
-                if low[v] == number[v]:
-                    states = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        states.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(states))
-                if frames and low[v] < low[frames[-1][0]]:
-                    low[frames[-1][0]] = low[v]
-    return components
+def _components(rows):
+    """Strongly connected components of the graph ``rows`` (targets per state).
+
+    ``reach[q]`` is the bitmask of states q reaches, itself included, iterated
+    to a fixpoint.  States p and q share a component exactly when they reach
+    the same set: each lies in the set of the other.
+    """
+    reach = [1 << q for q in range(len(rows))]
+    changed = True
+    while changed:
+        changed = False
+        for q, row in enumerate(rows):
+            mask = reach[q]
+            for t in row:
+                mask |= reach[t]
+            if mask != reach[q]:
+                reach[q] = mask
+                changed = True
+    components = {}
+    for q, mask in enumerate(reach):
+        components.setdefault(mask, []).append(q)
+    return components.values()
 
 
 def _det_one_minus_z(rows) -> tuple:

@@ -110,30 +110,22 @@ def _cmd_conj_growth(args) -> int:
     return status
 
 
-def _cmd_std_growth(args) -> int:
+# command -> (JSON key of the rational function, endpoint)
+_RATIONAL_COMMANDS = {
+    "std-growth": ("standard_growth", spherical_growth_series),
+    "geo-growth": ("geodesic_growth", geodesic_series),
+    "conj-geo-growth": ("conjugacy_geodesic_growth", conj_geodesic_series),
+}
+
+
+def _cmd_rational(args) -> int:
     graph = _load_graph(args.graph)
-    rf = spherical_growth_series(graph)
-    doc = {"standard_growth": rf.to_json_dict()}
-    if args.expand is not None:
-        doc["series"] = rf.expand(args.expand).to_strings()
-    _emit(doc, args.pretty)
-    return 0
-
-
-def _cmd_geo_growth(args) -> int:
-    graph = _load_graph(args.graph)
-    rf = geodesic_series(graph)
-    doc = {"geodesic_growth": rf.to_json_dict()}
-    if args.expand is not None:
-        doc["series"] = rf.expand(args.expand).to_strings()
-    _emit(doc, args.pretty)
-    return 0
-
-
-def _cmd_conj_geo_growth(args) -> int:
-    graph = _load_graph(args.graph)
-    rf = conj_geodesic_series(graph, args.method)
-    doc = {"conjugacy_geodesic_growth": rf.to_json_dict(), "method": args.method}
+    key, endpoint = _RATIONAL_COMMANDS[args.command]
+    method = getattr(args, "method", None)  # only conj-geo-growth has --method
+    rf = endpoint(graph) if method is None else endpoint(graph, method)
+    doc = {key: rf.to_json_dict()}
+    if method is not None:
+        doc["method"] = method
     if args.expand is not None:
         doc["series"] = rf.expand(args.expand).to_strings()
     _emit(doc, args.pretty)
@@ -155,15 +147,12 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_rho(args) -> int:
-    series = _parse_series_argument(args.series)
-    _emit({"rho": rho(series).to_strings()}, args.pretty)
-    return 0
+_OPERATORS = {"rho": rho, "neck": neck}
 
 
-def _cmd_neck(args) -> int:
+def _cmd_operator(args) -> int:
     series = _parse_series_argument(args.series)
-    _emit({"neck": neck(series).to_strings()}, args.pretty)
+    _emit({args.command: _OPERATORS[args.command](series).to_strings()}, args.pretty)
     return 0
 
 
@@ -196,28 +185,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("std-growth", help="standard (spherical) growth series")
     add_common(p, expand=True)
-    p.set_defaults(handler=_cmd_std_growth)
+    p.set_defaults(handler=_cmd_rational)
 
     p = sub.add_parser("geo-growth", help="geodesic growth series")
     add_common(p, expand=True)
-    p.set_defaults(handler=_cmd_geo_growth)
+    p.set_defaults(handler=_cmd_rational)
 
     p = sub.add_parser("conj-geo-growth", help="conjugacy geodesic growth series")
     add_common(p, expand=True)
     p.add_argument("--method", choices=["direct", "incl-excl"], default="direct")
-    p.set_defaults(handler=_cmd_conj_geo_growth)
+    p.set_defaults(handler=_cmd_rational)
 
     p = sub.add_parser("oracle", help="brute-force class and element counts")
     add_common(p)
     p.add_argument("--max-length", type=int, required=True)
     p.set_defaults(handler=_cmd_oracle)
 
-    for name, handler in (("rho", _cmd_rho), ("neck", _cmd_neck)):
+    for name in _OPERATORS:
         p = sub.add_parser(name, help=f"apply the {name} operator to a series")
         p.add_argument("--series", required=True,
                        help="JSON array of integer coefficients, constant term first")
         p.add_argument("--pretty", action="store_true")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_operator)
 
     return parser
 

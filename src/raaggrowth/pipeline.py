@@ -114,10 +114,6 @@ def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunc
 # closed-form cross-check expressions
 # ---------------------------------------------------------------------------
 
-def _rf(num, den) -> RationalFunction:
-    return RationalFunction.make(num, den)
-
-
 _ONE_MINUS_Z = (1, -1)
 
 
@@ -133,16 +129,16 @@ def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
     These come from the recursive free-splitting formula for the conjugacy
     growth series and are independent of the subset/rho pipeline.
     """
-    zz = _rf((1, 1), _ONE_MINUS_Z)  # (1+z)/(1-z)
+    zz = RationalFunction.make((1, 1), _ONE_MINUS_Z)  # (1+z)/(1-z)
 
     if expr.startswith("free-"):
         k = int(expr.split("-", 1)[1])
         if k < 1:
             raise ValueError("free rank must be >= 1")
-        total = _rf((1, 2 * k - 1), _ONE_MINUS_Z).expand(degree)
+        total = RationalFunction.make((1, 2 * k - 1), _ONE_MINUS_Z).expand(degree)
         for j in range(1, k):
             den = poly_mul(_ONE_MINUS_Z, (1, -(2 * j - 1)))
-            total = total + neck(_rf((0, 0, 4 * j), den).expand(degree))
+            total = total + neck(RationalFunction.make((0, 0, 4 * j), den).expand(degree))
         return total
 
     if expr.startswith("z-star-z-"):
@@ -150,15 +146,16 @@ def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
         if n < 1:
             raise ValueError("abelian rank must be >= 1")
         abelian = (zz ** n).expand(degree)
-        loop = _rf((0, 2), _ONE_MINUS_Z).expand(degree)  # 2z/(1-z)
+        loop = RationalFunction.make((0, 2), _ONE_MINUS_Z).expand(degree)  # 2z/(1-z)
         arg = (abelian - PowerSeries.one(degree)) * loop
         return loop + abelian + neck(arg)
 
     if expr == "path4":
-        head = _rf((1, 6, 5), poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree)
-        factor = _rf((1, 3), _ONE_MINUS_Z).expand(degree)
-        neck1 = neck(_rf((0, 0, 4), poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)).expand(degree))
-        neck2 = neck(_rf((0, 0, 8), poly_mul(_ONE_MINUS_Z, (1, -3))).expand(degree))
+        square = poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)
+        head = RationalFunction.make((1, 6, 5), square).expand(degree)
+        factor = RationalFunction.make((1, 3), _ONE_MINUS_Z).expand(degree)
+        neck1 = neck(RationalFunction.make((0, 0, 4), square).expand(degree))
+        neck2 = neck(RationalFunction.make((0, 0, 8), poly_mul(_ONE_MINUS_Z, (1, -3))).expand(degree))
         return head + factor * neck1 + neck2
 
     raise ValueError(f"unknown closed-form family {expr!r}")

@@ -254,10 +254,6 @@ class RationalFunction:
     def constant(c: int) -> "RationalFunction":
         return RationalFunction.make([c])
 
-    @staticmethod
-    def z() -> "RationalFunction":
-        return RationalFunction.make([0, 1])
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
@@ -272,11 +268,6 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if not poly_trim(other.num):
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction.make(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:

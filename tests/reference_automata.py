@@ -14,7 +14,11 @@
   recurrence from a window of counts of the *unlumped* trim automaton; it is
   accepted when its connection polynomial annihilates the whole vector
   sequence A^n v (a Krylov residual check), and otherwise the fraction comes
-  from ``automata._transfer_matrix_series`` on that unlumped automaton.
+  from ``transfer_matrix_series`` on that unlumped automaton.
+* ``transfer_matrix_series``: a denominator and a numerator-degree bound
+  proved component by component (Tarjan's algorithm orders the components
+  sinks first), with factor maps max-merged along the way.  The library
+  proves its fraction in one step on the whole lumped quotient instead.
 
 The tests compare ``automata.minimize``, ``automata.concat``,
 ``automata.map_letters``, ``automata.count_words`` and
@@ -30,7 +34,7 @@ from math import gcd
 from raaggrowth import automata
 from raaggrowth.automata import Dfa
 from raaggrowth.graphs import OrderedAlphabet
-from raaggrowth.series import InvariantError, RationalFunction
+from raaggrowth.series import InvariantError, RationalFunction, poly_mul
 
 
 def restrict_reachable(dfa: Dfa) -> Dfa:
@@ -334,6 +338,133 @@ def growth_series(dfa: Dfa) -> RationalFunction:
         window = min(max(window * 2, 2 * order + 8), 2 * work.n + 4)
     denominator = fractions_to_int_poly(connection)
     if not krylov_annihilates(work, denominator):
-        return automata._transfer_matrix_series(work)
+        return transfer_matrix_series(work)
     return RationalFunction.make(
-        automata._truncated_product(denominator, work.counts, order - 1), denominator)
+        truncated_product(denominator, work.counts, order - 1), denominator)
+
+
+def truncated_product(poly, counts, top: int):
+    """Coefficients 0..top of poly(z) * sum_n counts[n] z^n."""
+    return [
+        sum(poly[i] * counts[m - i] for i in range(min(m, len(poly) - 1) + 1))
+        for m in range(top + 1)
+    ]
+
+
+def transfer_matrix_series(work: TrimmedCounting) -> RationalFunction:
+    """Growth series proved from the component structure of a counting automaton.
+
+    ``work`` is shaped like ``TrimmedCounting``: ``n`` states whose
+    ``outgoing`` rows list targets with multiplicity (a nonnegative integer
+    matrix A), an ``initial`` state and counts e A^n v from ``extend_to``.
+
+    Order the states by strongly connected component C, sinks first.  The
+    vector F_C of the series of C's states satisfies
+
+        F_C = (I - zA_C)^{-1} (v_C + z E_C F_out),
+
+    where A_C is the transition matrix inside C, v_C the acceptance vector of
+    C and E_C the edges from C to its successor components.  Write
+    det_C = det(I - zA_C) (1 if C has no internal edge).  By induction from
+    the sinks, every entry of F_s is P/Q_s with deg P <= N(s), where
+
+        Q_C = det_C * Q_out,   Q_out = prod f^e over the max-merge of the
+                                       successors' factor -> exponent maps,
+        N(C) = |C| - 1 + max(deg Q_out, 1 + max_s(N(s) + deg Q_out - deg Q_s)).
+
+    Proof of the step: (I - zA_C)^{-1} = adj(I - zA_C) / det_C, and each entry
+    of the adjugate is a minor of order |C| - 1 of a matrix whose entries are
+    polynomials of degree <= 1, so it has degree <= |C| - 1.  Every Q_s
+    divides Q_out, so v_C + z E_C F_out = (v_C Q_out + z E_C (P_s Q_out/Q_s))
+    / Q_out with numerator degree <= max(deg Q_out, 1 + N(s) + deg Q_out -
+    deg Q_s).  Multiplying by the adjugate adds |C| - 1.
+
+    With C0 the initial state's component, Q = Q_{C0} has Q(0) = 1 and Q F is
+    a polynomial of degree <= N = N(C0), so it equals Q F truncated at N,
+    computed from the first N + 1 counts.
+    """
+    components = strongly_connected_components(work.outgoing)
+    component_of = [0] * work.n
+    for k, states in enumerate(components):
+        for q in states:
+            component_of[q] = k
+    factors = []       # per component: det polynomial -> exponent in Q_C
+    degrees = []       # per component: deg Q_C
+    bounds = []        # per component: N(C)
+    for k, states in enumerate(components):
+        local = {q: i for i, q in enumerate(states)}
+        rows = tuple(
+            tuple(sorted(local[t] for t in work.outgoing[q] if component_of[t] == k))
+            for q in states
+        )
+        successors = {component_of[t] for q in states for t in work.outgoing[q]} - {k}
+        merged = {}
+        for s in successors:
+            for f, e in factors[s].items():
+                if e > merged.get(f, 0):
+                    merged[f] = e
+        degree_out = sum(e * (len(f) - 1) for f, e in merged.items())
+        inner = degree_out
+        for s in successors:
+            inner = max(inner, 1 + bounds[s] + degree_out - degrees[s])
+        bounds.append(len(states) - 1 + inner)
+        if any(rows):
+            det = automata._det_one_minus_z(rows)
+            merged[det] = merged.get(det, 0) + 1
+            degree_out += len(det) - 1
+        factors.append(merged)
+        degrees.append(degree_out)
+
+    top = component_of[work.initial]
+    denominator = [1]
+    for f, e in factors[top].items():
+        for _ in range(e):
+            denominator = poly_mul(denominator, f)
+    work.extend_to(bounds[top])
+    return RationalFunction.make(truncated_product(denominator, work.counts, bounds[top]),
+                                 denominator)
+
+
+def strongly_connected_components(outgoing):
+    """Tarjan's algorithm without recursion; components come out sinks first."""
+    n = len(outgoing)
+    number = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if number[root] >= 0:
+            continue
+        frames = [(root, 0)]
+        while frames:
+            v, i = frames.pop()
+            if i == 0:
+                number[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            row = outgoing[v]
+            while i < len(row):
+                w = row[i]
+                i += 1
+                if number[w] < 0:
+                    frames.append((v, i))
+                    frames.append((w, 0))
+                    break
+                if on_stack[w] and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                if low[v] == number[v]:
+                    states = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        states.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(states))
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+    return components

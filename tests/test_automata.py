@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_automata
 from conftest import cycle_graph, path_graph
@@ -65,6 +65,19 @@ def test_all_words_counts():
 def test_epsilon_and_empty():
     assert list(count_words(epsilon_dfa(AB), 3)) == [1, 0, 0, 0]
     assert list(count_words(empty_language_dfa(AB), 3)) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n_states, table, initial, accepting, message", [
+    (2, [0, 1, 1], 0, {0}, "transition table size does not match state count"),
+    (2, [0, 1, 1, 0], 2, {0}, "initial state out of range"),
+    (2, [0, 1, 2, 0], 0, {0}, "transition target out of range"),
+    (2, [0, 1, -1, 0], 0, {0}, "transition target out of range"),
+    (2, [0, 1, 1, 0], 0, {2}, "accepting state out of range"),
+    (2, [0, 1, 1, 0], 0, {-1}, "accepting state out of range"),
+])
+def test_dfa_rejects_malformed_table(n_states, table, initial, accepting, message):
+    with pytest.raises(ValueError, match=message):
+        Dfa(A1, n_states, table, initial, accepting)
 
 
 def test_single_word():
@@ -233,20 +246,21 @@ def test_growth_series_of_zn_shortlex():
         assert growth_series(shortlex_fsa(g)).equals(zz ** n)
 
 
+# count_words is the expansion of growth_series, so both are checked against
+# the count DP of the reference on the whole automaton
+
 @settings(max_examples=40, deadline=None)
 @given(random_dfas())
 def test_growth_series_expansion_matches_counts(d):
     rf = growth_series(d)
-    assert rf.expand(20).coefficients == tuple(count_words(d, 20))
+    assert rf.expand(20).coefficients == reference_automata.count_words(d, 20)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_dfas(max_states=8))
 def test_transfer_matrix_series_matches_counts(d):
-    work = automata._TrimmedCounting(d)
-    assume(not work.empty)
-    rf = automata._transfer_matrix_series(work)
-    assert rf.expand(40).coefficients == tuple(count_words(d, 40))
+    # 40 terms: far past the n counts of the quotient that the numerator reads
+    assert growth_series(d).expand(40).coefficients == reference_automata.count_words(d, 40)
 
 
 @settings(max_examples=200, deadline=None)
@@ -265,15 +279,24 @@ def test_lumped_quotient_is_coarsest(graph, size):
     # the coarsest count-preserving quotient of the conjugacy-geodesic
     # acceptor; splitting by the set instead of the multiset of successor
     # blocks merges states with different counts and lands elsewhere
-    assert automata._TrimmedCounting(conjgeo_fsa(graph)).n == size
+    rows, _, _ = automata._lumped_quotient(conjgeo_fsa(graph))
+    assert len(rows) == size
 
 
 def test_transfer_matrix_series_repeated_component():
-    # a* A a* A a*: three components with the same determinant 1-z in a chain,
-    # so the denominator needs (1-z)^3, not the max-merge alone
+    # a* A a* A a*: three components with the same determinant 1-z in a chain;
+    # the denominator is the product over all components, so it holds (1-z)^3
     d = Dfa(A1, 4, [0, 1, 1, 2, 2, 3, 3, 3], 0, {2})
-    rf = automata._transfer_matrix_series(automata._TrimmedCounting(d))
+    rf = growth_series(d)
     assert (rf.num, rf.den) == ((0, 0, 1), (1, -3, 3, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)))
+def test_components_match_tarjan(rows):
+    assert sorted(map(list, automata._components(rows))) == \
+        sorted(reference_automata.strongly_connected_components(rows))
 
 
 def test_det_one_minus_z_small_components():
@@ -282,7 +305,7 @@ def test_det_one_minus_z_small_components():
     assert automata._det_one_minus_z(((0, 1), (0,))) == (1, -1, -1)  # Fibonacci
 
 
-def test_growth_series_reduces_factor_cancelled_at_initial_state(monkeypatch):
+def test_growth_series_reduces_factor_cancelled_at_initial_state():
     # 0 -a-> 1 <-a-> 2 <-A- 0, accepting {1}, every other move to the sink 3.
     # From 1 the series is 1/(1-z^2), from 2 it is z/(1-z^2); the initial
     # state sees their sum z/(1-z).  The three trim states lie in different
@@ -291,16 +314,9 @@ def test_growth_series_reduces_factor_cancelled_at_initial_state(monkeypatch):
     # returned fraction must still come out reduced.
     d = Dfa(A1, 4, [1, 2, 2, 3, 1, 3, 3, 3], 0, {1})
     assert list(count_words(d, 6)) == [0, 1, 1, 1, 1, 1, 1]
-    routes = []
-    original = automata._transfer_matrix_series
-
-    def spy(work):
-        routes.append(work.n)
-        return original(work)
-
-    monkeypatch.setattr(automata, "_transfer_matrix_series", spy)
+    rows, _, _ = automata._lumped_quotient(d)
+    assert len(rows) == 3
     rf = growth_series(d)
-    assert routes == [3]
     assert (rf.num, rf.den) == ((0, 1), (1, -1))
 
 
