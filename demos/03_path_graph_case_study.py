@@ -52,8 +52,8 @@ print()
 print("3. Support-component series feeding the conjugacy growth formula")
 for subset in ([0, 2], [0, 2, 3], [0, 1, 2, 3]):
     label = "{" + ",".join(path4.vertices[v] for v in subset) + "}"
-    rf, counts = cycsl_support_series(path4, subset, 8)
-    print(f"   {label:10s} counts {list(counts)}")
+    rf = cycsl_support_series(path4, subset)
+    print(f"   {label:10s} counts {list(rf.expand(8).coefficients)}")
     print(f"   {'':10s} num={list(rf.num)} den={list(rf.den)}")
 print()
 
@@ -67,10 +67,10 @@ published = RationalFunction.make(
 print("   ", list(published.expand(8).coefficients))
 print("   Only 48 words of length 3 even have support {a,c,d}, so 72z^3 cannot")
 print("   count a sublanguage.  P equals 3*F{a,c,d} - F{a,b,c,d}:")
-rf_ac, _ = cycsl_support_series(path4, [0, 2], 12)
-rf_acd, _ = cycsl_support_series(path4, [0, 2, 3], 8)
-rf_abd, _ = cycsl_support_series(path4, [0, 1, 3], 8)
-rf_abcd, _ = cycsl_support_series(path4, [0, 1, 2, 3], 8)
+rf_ac = cycsl_support_series(path4, [0, 2])
+rf_acd = cycsl_support_series(path4, [0, 2, 3])
+rf_abd = cycsl_support_series(path4, [0, 1, 3])
+rf_abcd = cycsl_support_series(path4, [0, 1, 2, 3])
 print("   ", (rf_acd * RationalFunction.make([3]) - rf_abcd).equals(published))
 head = RationalFunction.make([1, 6, 5], poly_product([1, -1], [1, -1])).expand(12)
 bogus = (

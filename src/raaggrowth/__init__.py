@@ -13,7 +13,6 @@ from .automata import (
     equivalent,
     growth_series,
     intersect,
-    map_letters,
     minimize,
     single_word_dfa,
     union,

@@ -20,6 +20,13 @@ equal to the automaton's.  On the n-state quotient the series is
 e adj(I - zB) v / det(I - zB) (transfer-matrix method): the denominator is the
 product of det(I - zB_C) over the strongly connected components C, and the
 numerator is read off the first n counts.
+
+The lumping works on coloured transitions: ``vertex_quotient`` gives each
+vertex's two letters their own colour and splits blocks by the multiset of
+successor blocks under each colour separately.  The partition is then stable
+for every colour, A_v P = P B_v, so for every sum of colours, and one quotient
+per automaton serves all its letter restrictions: ``restricted_growth_series``
+sums the colours of a vertex subset, lumps that again and certifies it.
 """
 
 from __future__ import annotations
@@ -68,46 +75,6 @@ class Dfa:
         """Hashable identity; canonical after minimize()."""
         return (self.alphabet.labels, self.n_states, self.transitions, self.initial,
                 tuple(sorted(self.accepting)))
-
-    def words_up_to(self, max_length: int):
-        """Yield all accepted words of length <= max_length (lexicographic per length).
-
-        Prefixes that cannot reach an accepting state anymore are pruned.
-        """
-        size = self.alphabet.size
-        live = _coreachable(self)
-        layer = [((), self.initial)] if self.initial in live else []
-        for length in range(max_length + 1):
-            for word, q in layer:
-                if q in self.accepting:
-                    yield word
-            if length == max_length:
-                break
-            layer = [
-                (word + (x,), target)
-                for word, q in layer
-                for x in range(size)
-                if (target := self.transitions[q * size + x]) in live
-            ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet.labels),
-            "states": self.n_states,
-            "initial": self.initial,
-            "accepting": sorted(self.accepting),
-            "transitions": [
-                list(self.transitions[q * self.alphabet.size:(q + 1) * self.alphabet.size])
-                for q in range(self.n_states)
-            ],
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "Dfa":
-        alphabet = OrderedAlphabet(tuple(doc["alphabet"]))
-        rows = doc["transitions"]
-        flat = [t for row in rows for t in row]
-        return Dfa(alphabet, doc["states"], flat, doc["initial"], doc["accepting"])
 
 
 # ---------------------------------------------------------------------------
@@ -318,22 +285,31 @@ def concat(a: Dfa, b: Dfa) -> Dfa:
 # cyclic permutation closure
 # ---------------------------------------------------------------------------
 
-def _coreachable(dfa: Dfa) -> set:
-    size = dfa.alphabet.size
-    incoming = [[] for _ in range(dfa.n_states)]
-    for q in range(dfa.n_states):
-        base = q * size
-        for x in range(size):
-            incoming[dfa.transitions[base + x]].append(q)
-    seen = set(dfa.accepting)
-    stack = list(dfa.accepting)
+def _row(dfa: Dfa):
+    """The function from a state to its row of the transition table, in letter order."""
+    size, transitions = dfa.alphabet.size, dfa.transitions
+    return lambda q: transitions[q * size:(q + 1) * size]
+
+
+def _reachable(targets, sources) -> set:
+    """The states reached from ``sources``; ``targets(q)`` lists the successors of q."""
+    seen = set(sources)
+    stack = list(seen)
     while stack:
-        q = stack.pop()
-        for p in incoming[q]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
+        for t in targets(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     return seen
+
+
+def _coreachable(targets, n: int, accepting) -> set:
+    """The states 0..n-1 from which some state of ``accepting`` is reached."""
+    incoming = [[] for _ in range(n)]
+    for q in range(n):
+        for t in targets(q):
+            incoming[t].append(q)
+    return _reachable(incoming.__getitem__, accepting)
 
 
 def cyc_perm(a: Dfa) -> Dfa:
@@ -344,7 +320,7 @@ def cyc_perm(a: Dfa) -> Dfa:
     acceptance at q.  Pieces with equal languages are merged up front.
     """
     a = minimize(a)
-    coreach = _coreachable(a)
+    coreach = _coreachable(_row(a), a.n_states, a.accepting)
     result = empty_language_dfa(a.alphabet)
     seen_pieces = set()
     for q in range(a.n_states):
@@ -362,27 +338,6 @@ def cyc_perm(a: Dfa) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# alphabet embedding
-# ---------------------------------------------------------------------------
-
-def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
-    """Reinterpret over ``target``; unmapped target letters go to a dead sink.
-
-    ``letter_map`` maps target letters to letters of ``dfa``'s alphabet.
-    """
-    size = target.size
-    source_size = dfa.alphabet.size
-    sink = dfa.n_states
-    columns = [letter_map.get(x) for x in range(size)]
-    table = []
-    for q in range(dfa.n_states):
-        row = dfa.transitions[q * source_size:(q + 1) * source_size]
-        table.extend(sink if local is None else row[local] for local in columns)
-    table.extend([sink] * size)
-    return minimize(Dfa(target, sink + 1, table, dfa.initial, dfa.accepting))
-
-
-# ---------------------------------------------------------------------------
 # counting and growth series
 # ---------------------------------------------------------------------------
 
@@ -394,76 +349,90 @@ def count_words(dfa: Dfa, max_degree: int) -> tuple:
     return growth_series(dfa).expand(max_degree).coefficients
 
 
-def _lumped_quotient(dfa: Dfa):
-    """The coarsest count-preserving quotient of a DFA's trim part.
+def _lumped_quotient(row, n: int, initial: int, accepting, colours=(slice(None),)):
+    """The coarsest count-preserving quotient of a coloured automaton's trim part.
 
-    The trim part keeps the states that are reachable and co-reachable.  Its
-    states are then lumped: starting from accepting versus rejecting, a block
-    is split by the multiset of blocks its states move to, until no block
-    splits.  That is the coarsest ordinary lumpable partition, i.e. forward
-    bisimulation of the automaton read as a weighted one (Buchholz, TCS 2008).
-    Each block keeps the outgoing row of one representative, mapped to blocks
-    with multiplicity.  Returns ``(rows, initial, vector)``: those rows, the
-    initial state's block and the blocks' acceptance indicator; or ``None``
-    when the trim part is empty.
+    ``row(q)`` lists the targets of state q in 0..n-1 with multiplicity, and
+    ``row(q)[colours[c]]`` those under colour c (one colour by default).  The
+    reachable and co-reachable states are lumped: from accepting versus
+    rejecting, a block is split by the multiset of blocks its states move to
+    under each colour, until no block splits.  With P the 0/1 matrix sending
+    each of these states to its block, and A_c, B_c the matrices of colour c
+    before and after, that stability is A_c P = P B_c for every c (forward
+    bisimulation of the automaton read as a weighted one, Buchholz, TCS 2008).
+    Summed over a set T of colours, (sum_T A_c) P = P (sum_T B_c): one
+    quotient serves every restriction to a set of colours, which one multiset
+    over all colours would not.
+
+    Returns ``(rows, initial, accepting)`` of the quotient: ``rows[b][c]`` maps
+    the targets under colour c of block b's first state to blocks.  The
+    initial state is kept even when it is dead, so an empty trim part gives
+    one rejecting block without moves.
     """
-    size = dfa.alphabet.size
-    reachable = set()
-    stack = [dfa.initial]
-    while stack:
-        q = stack.pop()
-        if q in reachable:
-            continue
-        reachable.add(q)
-        base = q * size
-        stack.extend(dfa.transitions[base + x] for x in range(size))
-    trim = sorted(reachable & _coreachable(dfa))
-    if dfa.initial not in trim:
-        return None
+    trim = sorted((_reachable(row, (initial,)) & _coreachable(row, n, accepting)) | {initial})
     index = {q: i for i, q in enumerate(trim)}
-    outgoing = []  # per trim state, list of trim targets (with multiplicity)
-    for q in trim:
-        base = q * size
-        outgoing.append(
-            [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
-        )
-    accepting = [1 if q in dfa.accepting else 0 for q in trim]
+    k, m = len(colours), len(trim)
+    # a move under colour c to trim state i is stored as c * m + i and tagged
+    # block * k + c: one sorted tuple of tags holds every colour's multiset
+    outgoing = [[c * m + index[t] for c, s in enumerate(colours) for t in row(q)[s] if t in index]
+                for q in trim]
+    vector = [1 if q in accepting else 0 for q in trim]
 
     # each pass splits the previous blocks and numbers the new ones by their
     # first state, so the quotient is canonical
-    block, count = accepting, 0
+    block, count = vector, 0
     while True:
+        tags = [b * k + c for c in range(k) for b in block]
         signatures = {}
         block = [
-            signatures.setdefault((block[q], tuple(sorted(map(block.__getitem__, row)))),
+            signatures.setdefault((block[q], tuple(sorted(map(tags.__getitem__, moves)))),
                                   len(signatures))
-            for q, row in enumerate(outgoing)
+            for q, moves in enumerate(outgoing)
         ]
         if len(signatures) == count:
             break
         count = len(signatures)
-    representatives = {}
-    for q, b in enumerate(block):
-        representatives.setdefault(b, q)
-    rows = [[block[t] for t in outgoing[q]] for q in representatives.values()]
-    vector = [accepting[q] for q in representatives.values()]
-    return rows, block[index[dfa.initial]], vector
+    first = [block.index(b) for b in range(count)]  # the first state of each block
+    quotient = [[[block[x % m] for x in outgoing[q] if x // m == c] for c in range(k)]
+                for q in first]
+    return quotient, block[index[initial]], {b for b, q in enumerate(first) if vector[q]}
 
 
 def growth_series(dfa: Dfa) -> RationalFunction:
     """Exact rational generating function of the accepted-word counts.
 
-    Any complete DFA is accepted; it need not be minimal.  Let A be the
-    transition matrix of the trim automaton, v the indicator of its accepting
-    states and e that of the initial state, so that the count of length m is
-    e A^m v and the series is F = e (I - zA)^{-1} v.
+    Any complete DFA is accepted; it need not be minimal.  The automaton is
+    lumped as one colour by ``_lumped_quotient``, and ``_certify`` proves the
+    fraction on the quotient.
+    """
+    return _certify(_lumped_quotient(_row(dfa), dfa.n_states, dfa.initial, dfa.accepting))
 
-    The counting runs on the quotient of ``_lumped_quotient``.  With P the
-    0/1 matrix sending each trim state to its block and B the quotient's
-    transition matrix, stability of the partition says A P = P B, and v = P v'
-    because acceptance is constant on blocks.  So A^m v = P B^m v', and e A^m v
-    is the entry of B^m v' at the initial state's block: the quotient has the
-    same count sequence, and F = e' (I - zB)^{-1} v' with e' the initial block.
+
+def vertex_quotient(dfa: Dfa):
+    """The ``_lumped_quotient`` of ``dfa`` with one colour per vertex v: letters 2v and 2v + 1."""
+    colours = [slice(x, x + 2) for x in range(0, dfa.alphabet.size, 2)]
+    return _lumped_quotient(_row(dfa), dfa.n_states, dfa.initial, dfa.accepting, colours)
+
+
+def restricted_growth_series(quotient, vertices) -> RationalFunction:
+    """Growth series of the accepted words over the letters of ``vertices``.
+
+    ``quotient`` is a ``vertex_quotient``.  The sum of the colours of
+    ``vertices`` counts the words over their letters, and it is trimmed and
+    lumped again as one colour before the certificate.
+    """
+    rows, initial, accepting = quotient
+    merged = [[t for v in vertices for t in row[v]] for row in rows]
+    return _certify(_lumped_quotient(merged.__getitem__, len(merged), initial, accepting))
+
+
+def _certify(quotient) -> RationalFunction:
+    """The growth series of a quotient from ``_lumped_quotient``, proved.
+
+    The trim automaton's count of length m is e A^m v, with A its transition
+    matrix and e, v the indicators of its initial and accepting states.  With
+    B the quotient's matrix (colours summed) and e', v' its indicators,
+    A P = P B and v = P v' give e A^m v = e' B^m v', so F = e' (I - zB)^{-1} v'.
 
     The fraction is proved by the transfer-matrix method (Stanley, EC1 Thm
     4.7.2) on the n-state quotient:
@@ -478,10 +447,8 @@ def growth_series(dfa: Dfa) -> RationalFunction:
 
     ``RationalFunction.make`` reduces the fraction; no further check is needed.
     """
-    quotient = _lumped_quotient(dfa)
-    if quotient is None:
-        return RationalFunction.make([0])
-    rows, initial, vector = quotient
+    rows, initial, accepting = quotient
+    rows = [[t for part in row for t in part] for row in rows]
     n = len(rows)
     denominator = [1]
     determinants = {}  # row structure -> det(I - zB_C); components repeat
@@ -492,6 +459,7 @@ def growth_series(dfa: Dfa) -> RationalFunction:
             if inner not in determinants:
                 determinants[inner] = _det_one_minus_z(inner)
             denominator = poly_mul(denominator, determinants[inner])
+    vector = [1 if q in accepting else 0 for q in range(n)]
     counts = [vector[initial]]
     for _ in range(n - 1):
         vector = [sum(map(vector.__getitem__, row)) for row in rows]

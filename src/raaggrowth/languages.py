@@ -35,9 +35,10 @@ from .automata import (
     cyc_perm,
     growth_series,
     intersect,
-    map_letters,
     minimize,
+    restricted_growth_series,
     union,
+    vertex_quotient,
 )
 from .graphs import GraphError, OrderedAlphabet, SimpleGraph
 from .series import RationalFunction
@@ -213,20 +214,20 @@ def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
     return support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
 
 
-def cycsl_support_series(g: SimpleGraph, subset, max_degree: int, closures=None):
-    """Reduced growth function of :func:`cycsl_support_fsa` and its counts to ``max_degree``.
+def cycsl_support_series(g: SimpleGraph, subset, closures=None) -> RationalFunction:
+    """Reduced growth function of :func:`cycsl_support_fsa`.
 
     Computed without a per-block automaton, by Mobius inversion on the subset
     lattice: F_B = sum over T in B of (-1)^|B \\ T| G_T, where G_T counts the
     cyclically-shortlex words over the letters of T (G_empty = 1, the empty
-    word).  Cyclic shortlex restricts compatibly to letter subsets, so G_T is
-    the growth series of one cyclic closure with its alphabet cut down to T
-    (``map_letters``).  An indecomposable B lies inside one maximal block,
-    a component of the whole graph's complement, so the closure is built per
-    maximal block and never for the whole graph (a decomposable graph's
-    closure is far larger than its blocks').  ``closures`` maps each maximal
-    block to its closure and its G_T table; a caller sharing one dict across
-    blocks builds each closure and each G_T once.
+    word).  Cyclic shortlex restricts compatibly to letter subsets, so every
+    G_T is read off one cyclic closure, lumped once with one colour per vertex
+    (``automata.vertex_quotient``).  An indecomposable B lies inside one
+    maximal block, a component of the whole graph's complement, so the
+    closure is built per maximal block and never for the whole graph (a
+    decomposable graph's closure is far larger than its blocks').
+    ``closures`` maps each maximal block to its quotient and its G_T table; a
+    caller sharing one dict across blocks builds each of them once.
     """
     subset = sorted(set(subset))
     if not g.is_indecomposable(subset):
@@ -235,21 +236,19 @@ def cycsl_support_series(g: SimpleGraph, subset, max_degree: int, closures=None)
     if closures is None:
         closures = {}
     if top not in closures:
-        closures[top] = (cycsl_fsa(g.induced_subgraph(top)), {(): RationalFunction.constant(1)})
-    closure, restricted = closures[top]
+        closures[top] = (vertex_quotient(cycsl_fsa(g.induced_subgraph(top))), {})
+    quotient, restricted = closures[top]
     local = {v: k for k, v in enumerate(top)}
     rf = RationalFunction.constant(0)
     for mask in range(1 << len(subset)):
         part = tuple(v for i, v in enumerate(subset) if mask >> i & 1)
         if part not in restricted:
-            letter_map = {2 * k + e: 2 * local[v] + e for k, v in enumerate(part) for e in (0, 1)}
-            target = g.induced_subgraph(part).alphabet()
-            restricted[part] = growth_series(map_letters(closure, target, letter_map))
+            restricted[part] = restricted_growth_series(quotient, [local[v] for v in part])
         if (len(subset) - len(part)) % 2:
             rf = rf - restricted[part]
         else:
             rf = rf + restricted[part]
-    return rf, rf.expand(max_degree)
+    return rf
 
 
 # ---------------------------------------------------------------------------

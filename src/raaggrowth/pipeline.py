@@ -9,8 +9,10 @@ where F_i is the growth series of the cyclically-shortlex words supported
 exactly on U_i.  Each distinct indecomposable block is computed once, by
 Mobius inversion over the letter restrictions of one cyclic closure per
 maximal block (a component of the whole graph's complement; see
-``languages.cycsl_support_series``), and cached; the subset sum then only
-multiplies and adds truncated series.
+``languages.cycsl_support_series``), and cached as its reduced fraction and
+the rho of its expansion.  The closure is lumped once, with one colour per
+vertex, and every letter restriction is read off that quotient.  The subset
+sum then only multiplies and adds truncated series.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
 
     def block_rho(block: tuple) -> PowerSeries:
         if block not in per_subset:
-            rf, counts = cycsl_support_series(g, block, degree, closures)
-            per_subset[block] = (rf, rho(counts))
+            rf = cycsl_support_series(g, block, closures)
+            per_subset[block] = (rf, rho(rf.expand(degree)))
         return per_subset[block][1]
 
     total = PowerSeries.one(degree)

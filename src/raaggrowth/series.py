@@ -179,9 +179,6 @@ class PowerSeries:
     def __getitem__(self, n: int) -> int:
         return self.coefficients[n]
 
-    def truncate(self, max_degree: int) -> "PowerSeries":
-        return PowerSeries.from_list(self.coefficients, max_degree)
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         return PowerSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 

@@ -7,7 +7,8 @@
   the left operand to the initial state of the right one, determinize it by
   the subset construction over epsilon closures, and minimize as above.
 * ``map_letters``: fill the new transition table one lookup per state and
-  target letter, and minimize as above.
+  target letter, and minimize as above.  The library has no letter map: it
+  reads every letter restriction off one vertex-coloured lumped quotient.
 * ``count_words``: the count DP on the whole automaton, one vector entry per
   state.
 * ``growth_series``: Berlekamp-Massey over the rationals proposes a
@@ -21,8 +22,9 @@
   proves its fraction in one step on the whole lumped quotient instead.
 
 The tests compare ``automata.minimize``, ``automata.concat``,
-``automata.map_letters``, ``automata.count_words`` and
-``automata.growth_series`` against them.
+``automata.count_words``, ``automata.growth_series`` and
+``automata.restricted_growth_series`` against them.  ``words_up_to`` lists
+the accepted words of an automaton by length, for brute-force comparisons.
 """
 
 from __future__ import annotations
@@ -212,6 +214,28 @@ def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:
     return minimize(Dfa(target, sink + 1, table, dfa.initial, dfa.accepting))
 
 
+def words_up_to(dfa: Dfa, max_length: int):
+    """Yield all accepted words of length <= max_length (lexicographic per length).
+
+    Prefixes that cannot reach an accepting state anymore are pruned.
+    """
+    size = dfa.alphabet.size
+    live = automata._coreachable(automata._row(dfa), dfa.n_states, dfa.accepting)
+    layer = [((), dfa.initial)] if dfa.initial in live else []
+    for length in range(max_length + 1):
+        for word, q in layer:
+            if q in dfa.accepting:
+                yield word
+        if length == max_length:
+            break
+        layer = [
+            (word + (x,), target)
+            for word, q in layer
+            for x in range(size)
+            if (target := dfa.transitions[q * size + x]) in live
+        ]
+
+
 def count_words(dfa: Dfa, max_degree: int) -> tuple:
     """Accepted-word counts of lengths 0..max_degree, by the count DP on all states."""
     size = dfa.alphabet.size
@@ -241,7 +265,8 @@ class TrimmedCounting:
             reachable.add(q)
             base = q * size
             stack.extend(dfa.transitions[base + x] for x in range(size))
-        trim = sorted(reachable & automata._coreachable(dfa))
+        coreachable = automata._coreachable(automata._row(dfa), dfa.n_states, dfa.accepting)
+        trim = sorted(reachable & coreachable)
         self.empty = dfa.initial not in trim
         if self.empty:
             return

@@ -17,13 +17,13 @@ from raaggrowth import (
     conjgeo_fsa,
     count_words,
     cyc_perm,
+    cycsl_fsa,
     empty_language_dfa,
     epsilon_dfa,
     equivalent,
     geo_fsa,
     growth_series,
     intersect,
-    map_letters,
     minimize,
     shortlex_fsa,
     single_word_dfa,
@@ -187,14 +187,14 @@ def test_cyc_perm_idempotent():
 def test_cyc_perm_contains_original():
     d = union(single_word_dfa(AB, (0, 0, 1)), epsilon_dfa(AB))
     closed = cyc_perm(d)
-    for word in d.words_up_to(4):
+    for word in reference_automata.words_up_to(d, 4):
         assert closed.accepts(word)
 
 
 def test_cyc_perm_matches_brute_force():
     base = union(single_word_dfa(AB, (0, 1)), single_word_dfa(AB, (2, 2, 1)))
     closed = cyc_perm(base)
-    words = set(base.words_up_to(5))
+    words = set(reference_automata.words_up_to(base, 5))
     rotations = {w[k:] + w[:k] for w in words for k in range(max(len(w), 1))}
     for word in itertools.chain.from_iterable(
         itertools.product(range(4), repeat=n) for n in range(5)
@@ -274,13 +274,43 @@ def test_growth_series_matches_reference(d):
     assert count_words(d, 12) == reference_automata.count_words(d, 12)
 
 
+def one_colour_quotient(d):
+    """``_lumped_quotient`` of a DFA read as one colour, as ``growth_series`` lumps it."""
+    return automata._lumped_quotient(automata._row(d), d.n_states, d.initial, d.accepting)
+
+
 @pytest.mark.parametrize("graph, size", [(path_graph(5), 72), (cycle_graph(6), 25)])
 def test_lumped_quotient_is_coarsest(graph, size):
     # the coarsest count-preserving quotient of the conjugacy-geodesic
     # acceptor; splitting by the set instead of the multiset of successor
     # blocks merges states with different counts and lands elsewhere
-    rows, _, _ = automata._lumped_quotient(conjgeo_fsa(graph))
+    rows, _, _ = one_colour_quotient(conjgeo_fsa(graph))
     assert len(rows) == size
+
+
+@pytest.mark.parametrize("graph, size", [(path_graph(4), 47), (path_graph(6), 119)])
+def test_vertex_quotient_size(graph, size):
+    # one colour per vertex: the cyclically-shortlex closure (150 and 410
+    # states) lumps to a quotient that is stable under each vertex's letters
+    rows, _, _ = automata.vertex_quotient(cycsl_fsa(graph))
+    assert len(rows) == size
+    assert all(len(row) == graph.n_vertices for row in rows)
+
+
+@pytest.mark.parametrize("graph", [path_graph(4), cycle_graph(5)], ids=["P4", "C5"])
+def test_restricted_growth_series_matches_letter_map(graph):
+    # every letter restriction G_T read off the one vertex quotient equals the
+    # growth series of the closure with its alphabet cut down to T; a
+    # quotient split by one multiset over all letters would count some wrong
+    closure = cycsl_fsa(graph)
+    quotient = automata.vertex_quotient(closure)
+    for mask in range(1 << graph.n_vertices):
+        part = [v for v in range(graph.n_vertices) if mask >> v & 1]
+        letter_map = {2 * k + e: 2 * v + e for k, v in enumerate(part) for e in (0, 1)}
+        target = graph.induced_subgraph(part).alphabet()
+        want = growth_series(reference_automata.map_letters(closure, target, letter_map))
+        got = automata.restricted_growth_series(quotient, part)
+        assert (got.num, got.den) == (want.num, want.den), part
 
 
 def test_transfer_matrix_series_repeated_component():
@@ -314,7 +344,7 @@ def test_growth_series_reduces_factor_cancelled_at_initial_state():
     # returned fraction must still come out reduced.
     d = Dfa(A1, 4, [1, 2, 2, 3, 1, 3, 3, 3], 0, {1})
     assert list(count_words(d, 6)) == [0, 1, 1, 1, 1, 1, 1]
-    rows, _, _ = automata._lumped_quotient(d)
+    rows, _, _ = one_colour_quotient(d)
     assert len(rows) == 3
     rf = growth_series(d)
     assert (rf.num, rf.den) == ((0, 1), (1, -1))
@@ -371,39 +401,12 @@ def test_equivalent_examples():
     assert not equivalent(single_word_dfa(AB, (0, 1)), single_word_dfa(AB, (1, 0)))
 
 
-# -- letter embedding and serialization ---------------------------------------
+# -- letter embedding -------------------------------------------------------
 
 def test_map_letters_embedding():
     sub = OrderedAlphabet(("a",))
     target = OrderedAlphabet(("a", "b"))
     d = all_words_dfa(sub)
-    embedded = map_letters(d, target, {0: 0, 1: 1})  # target a-letters to themselves
+    embedded = reference_automata.map_letters(d, target, {0: 0, 1: 1})  # a-letters to themselves
     assert embedded.accepts((0, 1, 0))
     assert not embedded.accepts((2,))  # b-letter unmapped, falls in the sink
-
-
-ABC = OrderedAlphabet(("a", "b", "c"))  # 6 letters
-
-
-@st.composite
-def letter_maps(draw):
-    """A DFA over ``AB``, a target alphabet, and a partial map of target letters into ``AB``."""
-    d = draw(random_dfas(AB, max_states=8, random_initial=True))
-    target = draw(st.sampled_from([A1, AB, ABC]))
-    mapped = draw(st.lists(st.integers(0, target.size - 1), unique=True))
-    return d, target, {x: draw(st.integers(0, AB.size - 1)) for x in mapped}
-
-
-@settings(max_examples=200, deadline=None)
-@given(letter_maps())
-def test_map_letters_matches_reference(case):
-    d, target, letter_map = case
-    assert map_letters(d, target, letter_map).encode() == \
-        reference_automata.map_letters(d, target, letter_map).encode()
-
-
-def test_json_roundtrip():
-    d = minimize(single_word_dfa(AB, (3, 0)))
-    doc = d.to_json_dict()
-    back = Dfa.from_json_dict(doc)
-    assert equivalent(d, back)

@@ -1,4 +1,10 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion and prints exactly its recorded output.
+
+The demos are deterministic, so each one's stdout is compared byte for byte
+with ``demo_output/<demo>.txt``.  A change to a demo's output is a change to
+the library's results or to the demo, and the recorded file is updated with
+it on purpose.
+"""
 
 import os
 import subprocess
@@ -9,10 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_found():
     assert DEMOS
+    assert sorted(path.stem for path in RECORDED.glob("*.txt")) == [path.stem for path in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -23,4 +31,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
-    assert result.stdout
+    assert result.stdout == (RECORDED / f"{demo.stem}.txt").read_text(encoding="utf-8")

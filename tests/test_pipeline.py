@@ -242,7 +242,7 @@ def test_block_series_match_per_block_automata(g):
     assert {block: rf for block, (rf, _) in report.per_subset.items()} == want_blocks
     if want_blocks:
         largest = max(want_blocks, key=len)
-        assert languages.cycsl_support_series(g, largest, degree)[0] == want_blocks[largest]
+        assert languages.cycsl_support_series(g, largest) == want_blocks[largest]
 
 
 @pytest.mark.parametrize("g", [
