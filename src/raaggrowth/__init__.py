@@ -21,7 +21,6 @@ from .graphs import (
     GraphError,
     OrderedAlphabet,
     SimpleGraph,
-    graph_to_json,
     parse_graph,
 )
 from .languages import (
@@ -40,7 +39,6 @@ from .languages import (
 )
 from .oracle import (
     conjugacy_key,
-    conjugacy_min_length,
     cyclically_reduce,
     cycrep_bruteforce,
     element_counts,
@@ -53,6 +51,7 @@ from .oracle import (
 )
 from .pipeline import (
     ConjGrowthReport,
+    cograph_series,
     conj_geodesic_series,
     detect_part1_family,
     geodesic_series,

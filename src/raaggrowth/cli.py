@@ -82,32 +82,25 @@ def _cmd_conj_growth(args) -> int:
     doc = report.to_json_dict()
     if not args.per_subset:
         doc.pop("per_subset")
-    status = 0
+    match = True
     if args.crosscheck == "part1":
         family = detect_part1_family(graph)
         if family is None:
             print("crosscheck failed: graph matches no built-in closed-form family", file=sys.stderr)
             return 1
         reference = part1_crosscheck(family, args.max_degree)
-        doc["crosscheck"] = {"family": family, "series": reference.to_strings()}
-        if reference.coefficients != report.sigma_tilde.coefficients:
-            doc["crosscheck"]["match"] = False
-            status = 1
-        else:
-            doc["crosscheck"]["match"] = True
+        match = reference.coefficients == report.sigma_tilde.coefficients
+        doc["crosscheck"] = {"family": family, "series": reference.to_strings(), "match": match}
     elif args.crosscheck == "oracle":
         bound = min(args.max_degree, 6, ORACLE_MAX_LENGTH)
         reference = enumerate_classes(graph, bound)
-        doc["crosscheck"] = {"oracle_degree": bound, "class_counts": [str(c) for c in reference]}
-        if tuple(reference) != report.sigma_tilde.coefficients[: bound + 1]:
-            doc["crosscheck"]["match"] = False
-            status = 1
-        else:
-            doc["crosscheck"]["match"] = True
+        match = tuple(reference) == report.sigma_tilde.coefficients[: bound + 1]
+        doc["crosscheck"] = {"oracle_degree": bound, "class_counts": [str(c) for c in reference],
+                             "match": match}
     _emit(doc, args.pretty)
-    if status:
+    if not match:
         print("crosscheck failed", file=sys.stderr)
-    return status
+    return 0 if match else 1
 
 
 # command -> (JSON key of the rational function, endpoint)

@@ -221,12 +221,3 @@ def parse_graph(text: str) -> SimpleGraph:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
             raise GraphError(f"edge {e!r} must be a pair of vertex labels")
     return SimpleGraph.make(vertices, edges)
-
-
-def graph_to_json(graph: SimpleGraph) -> str:
-    return json.dumps(
-        {
-            "vertices": list(graph.vertices),
-            "edges": [[graph.vertices[i], graph.vertices[j]] for i, j in sorted(graph.edges)],
-        }
-    )

@@ -132,12 +132,8 @@ def cyclically_reduce(g: SimpleGraph, word) -> tuple:
             return tuple(_shortlex(blockers, letters))
 
 
-def conjugacy_min_length(g: SimpleGraph, word) -> int:
-    return len(cyclically_reduce(g, word))
-
-
 def is_conjugacy_geodesic(g: SimpleGraph, word) -> bool:
-    return conjugacy_min_length(g, word) == len(word)
+    return len(cyclically_reduce(g, word)) == len(word)
 
 
 def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:

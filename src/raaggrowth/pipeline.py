@@ -13,6 +13,13 @@ maximal block (a component of the whole graph's complement; see
 the rho of its expansion.  The closure is lumped once, with one colour per
 vertex, and every letter restriction is read off that quotient.  The subset
 sum then only multiplies and adds truncated series.
+
+``cograph_series`` is an independent closed form on a cograph (no induced
+P4), by its union/join tree: one vertex has sigma = sigma~ = (1+z)/(1-z), a
+join (direct product) multiplies both, and a disjoint union (free product) has
+sigma~_{A*B} = sigma~_A + sigma~_B - 1 + neck((sigma_A - 1)(sigma_B - 1))
+(Part I of the paper) and 1/sigma_{A*B} = 1/sigma_A + 1/sigma_B - 1 (de la
+Harpe, Topics in Geometric Group Theory, Ch. VI); sigma is the standard series.
 """
 
 from __future__ import annotations
@@ -119,38 +126,59 @@ def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunc
 _ONE_MINUS_Z = (1, -1)
 
 
+def _reciprocal(f: RationalFunction) -> RationalFunction:
+    return RationalFunction.make(f.den, f.num)
+
+
+def cograph_series(g: SimpleGraph, degree: int) -> tuple | None:
+    """(sigma reduced, sigma~ to ``degree``) of a nonempty cograph; None on an induced P4."""
+    n = g.n_vertices
+    if n == 1:
+        zz = RationalFunction.make((1, 1), _ONE_MINUS_Z)
+        return zz, zz.expand(degree)
+    components = g.connected_components()
+    parts = components if len(components) > 1 else g.decompose(range(n))
+    if len(parts) == 1:
+        return None  # connected with a connected complement: not a cograph
+    pieces = [cograph_series(g.induced_subgraph(part), degree) for part in parts]
+    if None in pieces:
+        return None
+    one = RationalFunction.constant(1)
+    sigma, tilde = pieces[0]
+    for sigma_b, tilde_b in pieces[1:]:
+        if len(components) == 1:  # join: a direct product
+            sigma, tilde = sigma * sigma_b, tilde * tilde_b
+        else:  # disjoint union: a free product
+            cross = ((sigma - one) * (sigma_b - one)).expand(degree)
+            tilde = tilde + tilde_b - PowerSeries.one(degree) + neck(cross)
+            sigma = _reciprocal(_reciprocal(sigma) + _reciprocal(sigma_b) - one)
+    return sigma, tilde
+
+
 def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
-    """Evaluate a built-in necklace-form series for cross-checking.
+    """Evaluate a built-in closed form of sigma~ for cross-checking.
 
     Known families:
 
-    * ``free-<k>``      -- free group of rank k;
-    * ``z-star-z-<n>``  -- free product of Z with Z^n;
+    * ``free-<k>``      -- free group of rank k (k isolated vertices);
+    * ``z-star-z-<n>``  -- free product of Z with Z^n (a vertex and K_n);
     * ``path4``         -- the four-vertex path a-b-c-d.
 
-    These come from the recursive free-splitting formula for the conjugacy
-    growth series and are independent of the subset/rho pipeline.
+    The first two are cographs, evaluated by ``cograph_series``; ``path4`` is
+    a hand-derived necklace form.  None uses the subset/rho pipeline.
     """
-    zz = RationalFunction.make((1, 1), _ONE_MINUS_Z)  # (1+z)/(1-z)
-
     if expr.startswith("free-"):
         k = int(expr.split("-", 1)[1])
         if k < 1:
             raise ValueError("free rank must be >= 1")
-        total = RationalFunction.make((1, 2 * k - 1), _ONE_MINUS_Z).expand(degree)
-        for j in range(1, k):
-            den = poly_mul(_ONE_MINUS_Z, (1, -(2 * j - 1)))
-            total = total + neck(RationalFunction.make((0, 0, 4 * j), den).expand(degree))
-        return total
+        return cograph_series(SimpleGraph.make(map(str, range(k)), []), degree)[1]
 
     if expr.startswith("z-star-z-"):
         n = int(expr.rsplit("-", 1)[1])
         if n < 1:
             raise ValueError("abelian rank must be >= 1")
-        abelian = (zz ** n).expand(degree)
-        loop = RationalFunction.make((0, 2), _ONE_MINUS_Z).expand(degree)  # 2z/(1-z)
-        arg = (abelian - PowerSeries.one(degree)) * loop
-        return loop + abelian + neck(arg)
+        clique = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return cograph_series(SimpleGraph.make(map(str, range(n + 1)), clique), degree)[1]
 
     if expr == "path4":
         square = poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)

@@ -266,14 +266,6 @@ class RationalFunction:
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
 
-    def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = RationalFunction.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def equals(self, other: "RationalFunction") -> bool:
         return poly_trim(poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den))) == []
 

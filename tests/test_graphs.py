@@ -150,9 +150,3 @@ def test_decompose_partitions_and_orders(g):
 @given(small_graphs(min_vertices=1, max_vertices=5))
 def test_components_of_double_complement(g):
     assert g.connected_components() == g.complement().complement().connected_components()
-
-
-def test_graph_json_roundtrip(path4):
-    from raaggrowth import graph_to_json
-
-    assert parse_graph(graph_to_json(path4)) == path4

@@ -1,4 +1,5 @@
 import json
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from conftest import (
 from raaggrowth import (
     GraphError,
     SimpleGraph,
+    cograph_series,
     cycsl_fsa,
     growth_series,
     spherical_conj_series,
@@ -44,7 +46,7 @@ def test_sigma_tilde_z(z1):
 def test_sigma_tilde_complete_graphs():
     for n in (1, 2, 3):
         got = spherical_conj_series(complete_graph(n), 10).sigma_tilde
-        assert got.coefficients == (ZZ ** n).expand(10).coefficients
+        assert got.coefficients == prod([ZZ] * n, start=rf([1])).expand(10).coefficients
 
 
 def test_sigma_tilde_free_group(f2):
@@ -159,7 +161,7 @@ def test_spherical_growth_series_cases(f2):
     empty = SimpleGraph((), frozenset())
     assert spherical_growth_series(empty).equals(rf([1]))
     for n in (1, 2, 3):
-        assert spherical_growth_series(complete_graph(n)).equals(ZZ ** n)
+        assert spherical_growth_series(complete_graph(n)).equals(prod([ZZ] * n, start=rf([1])))
 
 
 def test_conj_geodesic_series_z(z1):
@@ -197,6 +199,43 @@ def test_part1_families_against_pipeline():
         part1_crosscheck("z-star-z-1", 10).coefficients
         == part1_crosscheck("free-2", 10).coefficients
     )
+
+
+@st.composite
+def cographs(draw, max_vertices=7):
+    """A random union/join tree on at most ``max_vertices`` leaves, its vertices listed shuffled."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+
+    def edges_of(leaves):
+        if len(leaves) == 1:
+            return set()
+        cut = draw(st.integers(min_value=1, max_value=len(leaves) - 1))
+        left, right = leaves[:cut], leaves[cut:]
+        edges = edges_of(left) | edges_of(right)
+        if draw(st.booleans()):  # join; otherwise a disjoint union
+            edges |= {(a, b) for a in left for b in right}
+        return edges
+
+    edges = edges_of([f"v{i}" for i in range(n)])
+    return SimpleGraph.make(draw(st.permutations([f"v{i}" for i in range(n)])), edges)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cographs())
+# (F2 x Z) * Z: sigma and sigma~ differ on F2 x Z, unlike on free groups and Z^n
+@example(SimpleGraph.make(["a", "b", "c", "d"], [["a", "c"], ["b", "c"]]))
+def test_cograph_series_matches_pipeline(g):
+    # the union/join recursion shares no automata, closure or Mobius code
+    # with the subset pipeline or the shortlex acceptor
+    sigma, sigma_tilde = cograph_series(g, 30)
+    assert sigma_tilde == spherical_conj_series(g, 30).sigma_tilde
+    assert sigma == spherical_growth_series(g)
+
+
+def test_cograph_series_rejects_induced_p4():
+    p4_and_vertex = SimpleGraph.make(["a", "b", "c", "d", "e"], [["a", "b"], ["b", "c"], ["c", "d"]])
+    for g in (path_graph(4), cycle_graph(5), p4_and_vertex):
+        assert cograph_series(g, 6) is None
 
 
 def test_part1_unknown_family():
