@@ -14,9 +14,17 @@ shuffled past.  It is computed once per graph.
 * Cyclic reduction by peeling: a reduced word is cyclically reduced exactly
   when no letter x that can be shuffled to the front has an inverse that can
   be shuffled to the back; such pairs are removed until none is left.
-* Still brute force: conjugacy classes are the closure of one minimal-length
-  word under rotations and commuting transpositions, and the enumerations
-  sweep every element up to a capped length.
+* Element sweep: every element of length k is one of length k-1 times a
+  letter.  A normal form is a fixed point of the insertion, so each
+  extension costs one insertion into a copy of its normal form.
+* Class count, layer by layer: a normal form of length k that admits a peel
+  lies in a class of smaller minimal length, counted at an earlier layer.
+  Any other starts a class of minimal length k unless this layer's closures
+  already hold it; its closure under rotations and commuting transpositions
+  (brute force) holds every word of length k in the class.
+* Both enumerations refuse more than ``ORACLE_MAX_LENGTH`` letters and more
+  than ``ORACLE_MAX_WORDS`` words held at once, before the work outgrows a
+  desk.
 
 It exists to validate the automata pipeline, so it shares no code with it.
 """
@@ -27,7 +35,9 @@ from functools import lru_cache
 
 from .graphs import SimpleGraph
 
-ORACLE_MAX_LENGTH = 8
+ORACLE_MAX_LENGTH = 10
+# Words one enumeration may hold: the ball, or one layer's class closures.
+ORACLE_MAX_WORDS = 1_000_000
 
 
 class OracleBound(ValueError):
@@ -39,6 +49,11 @@ def _check_cap(n: int):
         raise OracleBound(f"oracle enumeration capped at length {ORACLE_MAX_LENGTH}, got {n}")
     if n < 0:
         raise OracleBound("length bound must be nonnegative")
+
+
+def _check_words(n_words: int, what: str):
+    if n_words > ORACLE_MAX_WORDS:
+        raise OracleBound(f"oracle enumeration capped at {ORACLE_MAX_WORDS} words, exceeded by {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,31 +70,35 @@ def _blockers(g: SimpleGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _shortlex(blockers, word) -> list:
-    """Shortlex normal form of ``word``, built one letter at a time.
+def _insert(blockers, out: list, x: int):
+    """Multiply the normal form ``out`` by the letter x, in place.
 
-    The list ``out`` is always in normal form.  A new letter x scans ``out``
-    backwards to the last letter that blocks it.  If that letter is x^-1,
-    the two cancel.  Otherwise x joins the piece of ``out`` after that letter,
-    all of which commutes with x, and goes in front of the first letter
-    there that is greater than x: greedily emitting the least letter whose
-    vertex no earlier letter blocks yields ``out`` with x exactly there.
-    Deleting x^-1 likewise leaves the rest of ``out`` in greedy order, since
-    no later letter waits for it.
+    x scans ``out`` backwards to the last letter that blocks it.  If that
+    letter is x^-1, the two cancel.  Otherwise x joins the piece of ``out``
+    after that letter, all of which commutes with x, and goes in front of the
+    first letter there that is greater than x: greedily emitting the least
+    letter whose vertex no earlier letter blocks yields ``out`` with x exactly
+    there.  Deleting x^-1 likewise leaves the rest of ``out`` in greedy order,
+    since no later letter waits for it.
     """
+    stop = blockers[x >> 1]
+    k = len(out) - 1
+    while k >= 0 and not stop >> (out[k] >> 1) & 1:
+        k -= 1
+    if k >= 0 and out[k] == x ^ 1:
+        del out[k]
+        return
+    k += 1
+    while k < len(out) and out[k] < x:
+        k += 1
+    out.insert(k, x)
+
+
+def _shortlex(blockers, word) -> list:
+    """Shortlex normal form of ``word``, built one letter at a time."""
     out = []
     for x in word:
-        stop = blockers[x >> 1]
-        k = len(out) - 1
-        while k >= 0 and not stop >> (out[k] >> 1) & 1:
-            k -= 1
-        if k >= 0 and out[k] == x ^ 1:
-            del out[k]
-            continue
-        k += 1
-        while k < len(out) and out[k] < x:
-            k += 1
-        out.insert(k, x)
+        _insert(blockers, out, x)
     return out
 
 
@@ -111,25 +130,34 @@ def _rotations(word):
     return [word[k:] + word[:k] for k in range(len(word))] or [word]
 
 
+def _peel(blockers, letters):
+    """Positions (i, j), i < j, of a peelable pair in the reduced ``letters``.
+
+    The pair is a front-movable letter x and a back-movable x^-1: the word
+    is x u x^-1 up to shuffles and conjugates to u.  None when there is no
+    such pair, i.e. when the word is cyclically reduced.
+    """
+    back = _front_movable(blockers, letters[::-1])
+    for x, p in _front_movable(blockers, letters).items():
+        if x ^ 1 in back:
+            # the inverse sits after x, since it blocks x
+            return p, len(letters) - 1 - back[x ^ 1]
+    return None
+
+
 def cyclically_reduce(g: SimpleGraph, word) -> tuple:
     """A minimal-length conjugate of ``word``, in normal form.
 
-    Reduce the word, then peel: while some front-movable letter x has a
-    back-movable inverse, the word is x u x^-1 up to shuffles and conjugates
-    to u, so both letters go.  A reduced word with no such pair is
-    cyclically reduced, hence of minimal length in its conjugacy class.
+    Reduce the word, then peel pairs until none is left.  A reduced word
+    with no peelable pair is cyclically reduced, hence of minimal length in
+    its conjugacy class.
     """
     blockers = _blockers(g)
     letters = _shortlex(blockers, word)
-    while True:
-        back = _front_movable(blockers, letters[::-1])
-        for x, p in _front_movable(blockers, letters).items():
-            if x ^ 1 in back:
-                # the inverse sits after x, since it blocks x
-                del letters[len(letters) - 1 - back[x ^ 1]], letters[p]
-                break
-        else:
-            return tuple(_shortlex(blockers, letters))
+    while (pair := _peel(blockers, letters)) is not None:
+        i, j = pair
+        del letters[j], letters[i]
+    return tuple(_shortlex(blockers, letters))
 
 
 def is_conjugacy_geodesic(g: SimpleGraph, word) -> bool:
@@ -166,17 +194,9 @@ def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:
     return frozenset(seen)
 
 
-def conjugacy_key(g: SimpleGraph, word, _cache=None) -> tuple:
+def conjugacy_key(g: SimpleGraph, word) -> tuple:
     """Canonical representative (lex-least minimal word) of the class."""
-    start = cyclically_reduce(g, word)
-    if _cache is not None and start in _cache:
-        return _cache[start]
-    closure = conjugacy_class_words(g, start, _reduced=True)
-    key = min(closure)
-    if _cache is not None:
-        for member in closure:
-            _cache[member] = key
-    return key
+    return min(conjugacy_class_words(g, word))
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +206,27 @@ def conjugacy_key(g: SimpleGraph, word, _cache=None) -> tuple:
 def enumerate_elements(g: SimpleGraph, max_length: int) -> list[set]:
     """Normal forms of all group elements of length <= max_length, by length.
 
-    Grown by appending letters to shorter normal forms; every element of
-    length k extends one of length k-1, so the sweep is exhaustive.
+    Every element of length k is one of length k-1 times a letter, so
+    extending layer k-1 by every letter is exhaustive.  Each extension is one
+    insertion into a copy of a normal form; it has length k exactly when it
+    is new, since an insertion that cancels shortens the word.
     """
     _check_cap(max_length)
-    size = g.alphabet().size
+    blockers = _blockers(g)
+    letters = range(g.alphabet().size)
     by_length = [{()}]
-    known = {()}
-    frontier = [()]
+    held = 1
     for length in range(1, max_length + 1):
-        new = set()
-        for w in frontier:
-            for x in range(size):
-                nf = normal_form(g, w + (x,))
-                if len(nf) == length and nf not in known:
-                    known.add(nf)
-                    new.add(nf)
-        by_length.append(new)
-        frontier = sorted(new)
+        layer = set()
+        for w in by_length[-1]:
+            for x in letters:
+                out = list(w)
+                _insert(blockers, out, x)
+                if len(out) == length:
+                    layer.add(tuple(out))
+            _check_words(held + len(layer), f"the ball of radius {length}")
+        held += len(layer)
+        by_length.append(layer)
     return by_length
 
 
@@ -212,17 +235,27 @@ def element_counts(g: SimpleGraph, max_length: int) -> list[int]:
 
 
 def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
-    """Number of conjugacy classes whose minimal length is k, for k <= max_length."""
-    _check_cap(max_length)
-    counts = [0] * (max_length + 1)
-    cache = {}
-    seen_keys = set()
-    for layer in enumerate_elements(g, max_length):
+    """Number of conjugacy classes whose minimal length is k, for k <= max_length.
+
+    Each layer of the ball is walked once.  A normal form with a peelable
+    pair has a shorter conjugate, so its class was counted at an earlier
+    layer.  Any other is cyclically reduced: unless ``seen`` holds it, it
+    starts a class of minimal length k, whose closure holds every word of
+    length k in the class.  A cyclically reduced word of length k lies in no
+    closure of a shorter class, so ``seen`` holds this layer's closures alone.
+    """
+    blockers = _blockers(g)
+    counts = []
+    for length, layer in enumerate(enumerate_elements(g, max_length)):
+        seen = set()
+        count = 0
         for w in layer:
-            key = conjugacy_key(g, w, cache)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                counts[len(key)] += 1
+            if w in seen or _peel(blockers, w) is not None:
+                continue
+            count += 1
+            seen |= conjugacy_class_words(g, w, _reduced=True)
+            _check_words(len(seen), f"the class closures of length {length}")
+        counts.append(count)
     return counts
 
 

@@ -2,11 +2,14 @@
 
 Exhaustive cancellation, a quadratic greedy extraction and rotate-and-
 renormalize cyclic reduction, written straight from the definitions with
-``g.alphabet()`` and ``g.adjacent()``.  The tests compare the oracle's
-bitmask routines against these on small graphs.
+``g.alphabet()`` and ``g.adjacent()``.  The element and class counts read
+every word up to a length.  The tests compare the oracle's bitmask routines
+and its enumerations against these on small graphs.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def _cancel_once(g, word):
@@ -86,3 +89,28 @@ def conjugacy_key(g, word) -> tuple:
                     seen.add(swapped)
                     stack.append(swapped)
     return min(seen)
+
+
+def _normal_forms(g, max_length) -> set:
+    """Normal forms of every word up to ``max_length``."""
+    return {
+        normal_form(g, word)
+        for length in range(max_length + 1)
+        for word in itertools.product(range(g.alphabet().size), repeat=length)
+    }
+
+
+def element_counts(g, max_length) -> list[int]:
+    """Distinct normal forms of every word up to ``max_length``, by length."""
+    counts = [0] * (max_length + 1)
+    for nf in _normal_forms(g, max_length):
+        counts[len(nf)] += 1
+    return counts
+
+
+def class_counts(g, max_length) -> list[int]:
+    """Distinct conjugacy keys of every word up to ``max_length``, by key length."""
+    counts = [0] * (max_length + 1)
+    for key in {conjugacy_key(g, nf) for nf in _normal_forms(g, max_length)}:
+        counts[len(key)] += 1
+    return counts

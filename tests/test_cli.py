@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from raaggrowth import cli, pipeline
 from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, MAX_VERTICES, main
+from raaggrowth.oracle import ORACLE_MAX_WORDS
 from raaggrowth.series import PowerSeries
 
 
@@ -181,6 +183,24 @@ def test_vertex_bound_admits_the_bound(capsys, tmp_path):
     code, out = run(capsys, "oracle", "--graph", str(path), "--max-length", "1")
     assert code == 0
     assert json.loads(out)["element_counts"] == ["1", str(2 * MAX_VERTICES)]
+
+
+@pytest.mark.parametrize("edges", ["edgeless", "complete"])
+def test_oracle_word_bound_refuses_largest_graphs(capsys, tmp_path, edges):
+    # F8 and Z^8 to length 8 would hold billions of words and millions of
+    # closure words; both are refused once ORACLE_MAX_WORDS is passed
+    labels = [f"v{i}" for i in range(MAX_VERTICES)]
+    pairs = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]] if edges == "complete" else []
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": labels, "edges": pairs}))
+    start = time.perf_counter()
+    code = main(["oracle", "--graph", str(path), "--max-length", "8"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: oracle enumeration capped at {ORACLE_MAX_WORDS} words")
+    assert elapsed < 30
 
 
 def test_neck_utility(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_oracle
-from conftest import complete_graph
+from conftest import complete_graph, small_graphs
 from raaggrowth import SimpleGraph, oracle
 from raaggrowth.oracle import (
     OracleBound,
@@ -177,11 +177,10 @@ def test_conjugacy_class_words_reduces_its_argument(path4):
 def test_conjugacy_key_identifies_conjugates(path4):
     alph = path4.alphabet()
     a, c, d = alph.positive(0), alph.positive(2), alph.positive(3)
-    cache = {}
-    assert conjugacy_key(path4, (a, c, d), cache) == conjugacy_key(path4, (c, d, a), cache)
+    assert conjugacy_key(path4, (a, c, d)) == conjugacy_key(path4, (c, d, a))
     # c and d commute: d c a is also conjugate
-    assert conjugacy_key(path4, (a, c, d), cache) == conjugacy_key(path4, (d, c, a), cache)
-    assert conjugacy_key(path4, (a, c, d), cache) != conjugacy_key(path4, (a, d, c, c), cache)
+    assert conjugacy_key(path4, (a, c, d)) == conjugacy_key(path4, (d, c, a))
+    assert conjugacy_key(path4, (a, c, d)) != conjugacy_key(path4, (a, d, c, c))
 
 
 def test_enumerate_classes_z(z1):
@@ -204,11 +203,52 @@ def test_element_counts_z3():
     assert element_counts(complete_graph(3), 3) == [1, 6, 18, 38]
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(min_vertices=1, max_vertices=4), st.integers(0, 4))
+def test_enumerations_match_naive_reference(g, length):
+    assert element_counts(g, length) == naive_oracle.element_counts(g, length)
+    assert enumerate_classes(g, length) == naive_oracle.class_counts(g, length)
+
+
+def test_class_count_runs_one_closure_per_class(monkeypatch, path4):
+    # the layer walk neither renormalizes nor cyclically reduces a word, and
+    # closes each class exactly once
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class count called a per-word routine")
+
+    closures = []
+
+    def counted(*args, **kwargs):
+        closures.append(args[1])
+        return conjugacy_class_words(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "normal_form", refuse)
+    monkeypatch.setattr(oracle, "cyclically_reduce", refuse)
+    monkeypatch.setattr(oracle, "conjugacy_class_words", counted)
+    counts = enumerate_classes(path4, 5)
+    assert len(closures) == sum(counts)
+    assert len(set(closures)) == len(closures)
+
+
 def test_oracle_cap():
+    assert len(element_counts(complete_graph(2), 10)) == 11
     with pytest.raises(OracleBound):
-        enumerate_classes(complete_graph(2), 9)
+        enumerate_classes(complete_graph(2), 11)
     with pytest.raises(OracleBound):
         element_counts(complete_graph(2), -1)
+
+
+def test_oracle_word_bound(monkeypatch, f2):
+    # F2's ball of radius 4 holds 161 elements.  Z^3's holds 129, but its 462
+    # geodesic words of length 4 all lie in class closures of that length.
+    monkeypatch.setattr(oracle, "ORACLE_MAX_WORDS", 150)
+    assert element_counts(f2, 3) == [1, 4, 12, 36]
+    with pytest.raises(OracleBound, match="ball of radius 4"):
+        element_counts(f2, 4)
+    z3 = complete_graph(3)
+    assert sum(element_counts(z3, 4)) == 129
+    with pytest.raises(OracleBound, match="closures of length 4"):
+        enumerate_classes(z3, 4)
 
 
 # -- finite language helpers -------------------------------------------------------

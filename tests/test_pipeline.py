@@ -81,13 +81,12 @@ def test_mixed_support_cyclically_shortlex_is_empty():
 def _oracle_class_counts_by_support(g, max_length):
     from raaggrowth.oracle import conjugacy_key, enumerate_elements
 
-    cache = {}
     seen = set()
     table = {}
     alph = g.alphabet()
     for layer in enumerate_elements(g, max_length):
         for w in layer:
-            key = conjugacy_key(g, w, cache)
+            key = conjugacy_key(g, w)
             if key in seen:
                 continue
             seen.add(key)
