@@ -2,8 +2,12 @@
 
 Every language in the pipeline is carried by a complete DFA over an
 ``OrderedAlphabet`` (letters are ints ``0..size-1``).  Automata are immutable;
-all operations return fresh values, minimized eagerly so that repeated
-products and closures stay tractable.
+all operations return fresh values.  ``intersect``, ``union``, ``concat`` and
+``cyc_perm`` return minimal automata, so that repeated products and closures
+stay tractable; ``complement_lang`` only flips acceptance, which keeps a
+minimal automaton minimal.  ``_product`` collapses the pairs that hold a
+verdict-fixing sink into one constant state, so what is left for Hopcroft
+to merge is small, and returns the product unminimized.
 
 Minimized automata are renumbered canonically (breadth-first from the initial
 state in letter order), so two automata accept the same language exactly when
@@ -30,6 +34,8 @@ sums the colours of a vertex subset, lumps that again and certifies it.
 """
 
 from __future__ import annotations
+
+from operator import and_, or_
 
 from .graphs import OrderedAlphabet
 from .series import InvariantError, RationalFunction, poly_mul, poly_trim
@@ -213,38 +219,73 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 # boolean operations
 # ---------------------------------------------------------------------------
 
+def _sinks(dfa: Dfa):
+    """The states whose whole row points to themselves."""
+    size, transitions = dfa.alphabet.size, dfa.transitions
+    return [q for q in range(dfa.n_states) if transitions[q * size:(q + 1) * size].count(q) == size]
+
+
 def _product(a: Dfa, b: Dfa, keep) -> Dfa:
+    """Reachable product of a and b, accepting where ``keep`` of their verdicts holds.
+
+    A sink whose verdict under ``keep`` ignores the other operand (a rejecting
+    sink under ``and_``, an accepting one under ``or_``) fixes the verdict of
+    every pair holding it for good.  All pairs with the same fixed verdict are
+    one constant state, X* or the empty language.  Most states that Hopcroft
+    would merge in the pipeline's products are such pairs, but the result is
+    not minimized: ``intersect`` and ``union`` minimize it.
+    """
     _require_same_alphabet(a, b)
     size = a.alphabet.size
     rows_a, rows_b = a.transitions, b.transitions
-    start = (a.initial, b.initial)
-    index = {start: 0}
-    order = [start]
+    fixed_a = {p: keep(p in a.accepting, True) for p in _sinks(a)
+               if keep(p in a.accepting, True) == keep(p in a.accepting, False)}
+    fixed_b = {q: keep(True, q in b.accepting) for q in _sinks(b)
+               if keep(True, q in b.accepting) == keep(False, q in b.accepting)}
+    index = {}
+    order = []
+    constant = {}  # fixed verdict -> its state
+
+    def number(pair) -> int:
+        verdict = fixed_a.get(pair[0], fixed_b.get(pair[1]))
+        i = constant.get(verdict)
+        if i is None:
+            i = len(order)
+            order.append(pair)
+            if verdict is not None:
+                constant[verdict] = i
+        index[pair] = i
+        return i
+
+    number((a.initial, b.initial))
     table = []
     for p, q in order:
         for t in zip(rows_a[p * size:(p + 1) * size], rows_b[q * size:(q + 1) * size]):
             i = index.get(t)
-            if i is None:
-                i = index[t] = len(order)
-                order.append(t)
-            table.append(i)
+            table.append(number(t) if i is None else i)
     accepting = {
         i for i, (p, q) in enumerate(order) if keep(p in a.accepting, q in b.accepting)
     }
-    return minimize(Dfa(a.alphabet, len(order), table, 0, accepting))
+    return Dfa(a.alphabet, len(order), table, 0, accepting)
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x and y)
+    return minimize(_product(a, b, and_))
 
 
 def union(a: Dfa, b: Dfa) -> Dfa:
-    return _product(a, b, lambda x, y: x or y)
+    return minimize(_product(a, b, or_))
 
 
 def complement_lang(a: Dfa) -> Dfa:
+    """Complement of L(a), by flipping acceptance only.
+
+    The complement of a minimal DFA is minimal, and the breadth-first
+    numbering does not depend on acceptance, so a canonical input gives a
+    canonical output.  A non-minimal input gives a non-minimal output.
+    """
     flipped = set(range(a.n_states)) - a.accepting
-    return minimize(Dfa(a.alphabet, a.n_states, a.transitions, a.initial, flipped))
+    return Dfa(a.alphabet, a.n_states, a.transitions, a.initial, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +359,9 @@ def cyc_perm(a: Dfa) -> Dfa:
     Built as the union over states q of Suffixes(a, q) . Prefixes(a, q),
     where Suffixes re-roots the initial state at q and Prefixes re-roots
     acceptance at q.  Pieces with equal languages are merged up front.
+    Suffixes(a, q) goes to ``concat`` unminimized: a is minimal, so the states
+    reachable from q, the only ones ``concat`` explores, are pairwise
+    distinct already.
     """
     a = minimize(a)
     coreach = _coreachable(_row(a), a.n_states, a.accepting)
@@ -326,7 +370,7 @@ def cyc_perm(a: Dfa) -> Dfa:
     for q in range(a.n_states):
         if q not in coreach:
             continue  # Suffixes(a, q) is empty
-        suffixes = minimize(Dfa(a.alphabet, a.n_states, a.transitions, q, a.accepting))
+        suffixes = Dfa(a.alphabet, a.n_states, a.transitions, q, a.accepting)
         prefixes = minimize(Dfa(a.alphabet, a.n_states, a.transitions, a.initial, {q}))
         piece = concat(suffixes, prefixes)
         key = piece.encode()

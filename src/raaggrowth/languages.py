@@ -28,8 +28,11 @@ measured 3-6x slower than one closure of the shortlex complement.
 
 from __future__ import annotations
 
+from operator import and_
+
 from .automata import (
     Dfa,
+    _product,
     all_words_dfa,
     complement_lang,
     cyc_perm,
@@ -186,7 +189,8 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     rejected by some checker: the non-conjugacy-geodesics are the union over
     v of CycPerm(X* \\ L_v), since the closure distributes over union.  Each
     closure runs on a five-state automaton, then the n results are unioned
-    and complemented.
+    and complemented.  The checkers are not minimal, nor are their flipped
+    complements; ``cyc_perm`` minimizes its input.
     """
     alphabet = g.alphabet()
     if g.n_vertices == 0:
@@ -313,9 +317,11 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     each vertex of S, with alternating signs.  The subsets are walked depth
     first in increasing vertex order, so each intersection extends its
     parent's by one automaton: at most 2^n - 1 intersections, and at most
-    n + 1 automata alive at once.  A subtree whose automaton (minimal, as
-    ``intersect`` returns it) has no accepting state is cut, since every
-    further intersection is empty too.
+    n + 1 automata alive at once.  The chain only counts and tests for
+    emptiness, so each intersection is the reachable product, unminimized:
+    ``growth_series`` takes any complete DFA, and a reachable product is
+    empty exactly when it has no accepting state.  Such a subtree is cut,
+    since every further intersection is empty too.
     """
     lprimes = [minimize(lprime_fsa(g, v)) for v in range(g.n_vertices)]
 
@@ -325,7 +331,7 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
         if not automaton.accepting:
             return total  # the empty language: every further intersection is empty too
         for v in range(first, g.n_vertices):
-            total = total - signed_sum(intersect(automaton, lprimes[v]), v + 1)
+            total = total - signed_sum(_product(automaton, lprimes[v], and_), v + 1)
         return total
 
     return signed_sum(geo_fsa(g), 0)

@@ -1,5 +1,6 @@
 import itertools
 from math import prod
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -125,6 +126,37 @@ def test_operation_counts_match_enumeration(d):
     other = complement_lang(d)
     for result in (d, other, intersect(d, other), union(d, other)):
         assert list(count_words(result, 5)) == brute_counts(result, 5)
+
+
+@st.composite
+def dfas_with_sinks(draw, alphabet=AB, max_states=4):
+    """Random DFAs whose last two states are an accepting and a rejecting sink."""
+    n = draw(st.integers(min_value=1, max_value=max_states)) + 2
+    size = alphabet.size
+    table = [draw(st.integers(0, n - 1)) for _ in range((n - 2) * size)]
+    table += [n - 2] * size + [n - 1] * size
+    accepting = [q for q in range(n - 2) if draw(st.booleans())] + [n - 2]
+    return Dfa(alphabet, n, table, draw(st.integers(0, n - 1)), accepting)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas_with_sinks(), dfas_with_sinks())
+def test_collapsed_product_keeps_the_language(a, b):
+    # pairs holding a rejecting sink under and_, or an accepting one under
+    # or_, collapse to one constant state; every other pair stays
+    words = [w for length in range(7) for w in itertools.product(range(AB.size), repeat=length)]
+    for keep in (and_, or_):
+        product = minimize(automata._product(a, b, keep))
+        assert all(product.accepts(w) == keep(a.accepts(w), b.accepts(w)) for w in words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_dfas(random_initial=True))
+def test_complement_of_minimal_is_canonical(d):
+    # the pipeline complements minimal automata without minimizing again
+    flipped = Dfa(d.alphabet, d.n_states, d.transitions, d.initial,
+                  set(range(d.n_states)) - d.accepting)
+    assert complement_lang(minimize(d)).encode() == minimize(flipped).encode()
 
 
 # -- concatenation ------------------------------------------------------------

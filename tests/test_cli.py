@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from raaggrowth import cli, pipeline
+from raaggrowth import cli, oracle, pipeline
 from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, MAX_VERTICES, main
 from raaggrowth.oracle import ORACLE_MAX_WORDS
 from raaggrowth.series import PowerSeries
@@ -76,6 +76,19 @@ def test_conj_growth_oracle_crosscheck(capsys, z2_file):
     doc = json.loads(out)
     assert doc["crosscheck"]["match"] is True
     assert doc["crosscheck"]["class_counts"] == ["1", "4", "8", "12", "16", "20", "24"]
+
+
+def test_conj_growth_oracle_crosscheck_lowers_refused_length(capsys, monkeypatch, f2_file):
+    # F2's ball of radius 4 holds 161 elements, so a bound of 150 words
+    # admits the oracle to length 3; the cross-check runs there, not fails
+    monkeypatch.setattr(oracle, "ORACLE_MAX_WORDS", 150)
+    code, out = run(capsys, "conj-growth", "--graph", f2_file, "--max-degree", "6",
+                    "--crosscheck", "oracle")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["crosscheck"]["oracle_degree"] == 3
+    assert doc["crosscheck"]["match"] is True
+    assert doc["crosscheck"]["class_counts"] == doc["sigma_tilde"][:4]
 
 
 def test_std_growth(capsys, z2_file):

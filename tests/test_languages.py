@@ -221,17 +221,18 @@ def test_incl_excl_matches_direct(g):
 def test_incl_excl_prunes_empty_intersections(monkeypatch, g, calls):
     # only the cliques of g survive as nonempty intersections; without the
     # cut each of the 2^n - 1 nonempty vertex subsets costs one.  The
-    # geodesic acceptor is built up front, so its own products are not counted
+    # geodesic acceptor is built up front, so its own products are not counted.
+    # The chain calls the product directly, without minimizing
     geodesics = geo_fsa(g)
-    original = languages.intersect
+    original = languages._product
     seen = []
 
-    def spy(a, b):
+    def spy(a, b, keep):
         seen.append(1)
-        return original(a, b)
+        return original(a, b, keep)
 
     monkeypatch.setattr(languages, "geo_fsa", lambda _: geodesics)
-    monkeypatch.setattr(languages, "intersect", spy)
+    monkeypatch.setattr(languages, "_product", spy)
     conjgeo_series_incl_excl(g)
     assert len(seen) == calls
 
