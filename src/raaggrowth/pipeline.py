@@ -6,13 +6,13 @@ The spherical conjugacy growth series of a right-angled Artin group is
     (U_1, ..., U_m), of the product rho(F_1) ... rho(F_m),
 
 where F_i is the growth series of the cyclically-shortlex words supported
-exactly on U_i.  Each distinct indecomposable block is computed once, by
-Mobius inversion over the letter restrictions of one cyclic closure per
-maximal block (a component of the whole graph's complement; see
-``languages.cycsl_support_series``), and cached as its reduced fraction and
-the rho of its expansion.  The closure is lumped once, with one colour per
-vertex, and every letter restriction is read off that quotient.  The subset
-sum then only multiplies and adds truncated series.
+exactly on U_i.  Every indecomposable block lies inside one maximal block (a
+component of the whole graph's complement), and one table per maximal block
+(``languages.cycsl_support_table``) gives all their series at once: one
+cyclic closure, lumped once with one colour per vertex, every letter
+restriction read off that quotient, and one fast Mobius transform over the
+subsets.  Each block is kept as its reduced fraction and the rho of its
+expansion, and the subset sum then only multiplies and adds truncated series.
 
 ``cograph_series`` is an independent closed form on a cograph (no induced
 P4), by its union/join tree: one vertex has sigma = sigma~ = (1+z)/(1-z), a
@@ -31,7 +31,7 @@ from .graphs import GraphError, SimpleGraph
 from .languages import (
     conjgeo_fsa,
     conjgeo_series_incl_excl,
-    cycsl_support_series,
+    cycsl_support_table,
     geo_fsa,
     shortlex_fsa,
 )
@@ -75,20 +75,19 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
         raise GraphError(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
 
     per_subset = {}
-    closures = {}  # shared by every block: one cyclic closure per maximal block
-
-    def block_rho(block: tuple) -> PowerSeries:
-        if block not in per_subset:
-            rf = cycsl_support_series(g, block, closures)
-            per_subset[block] = (rf, rho(rf.expand(degree)))
-        return per_subset[block][1]
+    # an indecomposable block lies inside one maximal block, a component of
+    # the whole graph's complement: one table per maximal block holds them all
+    for top in g.decompose(range(n)) if n else ():
+        for block, rf in cycsl_support_table(g, top).items():
+            if g.is_indecomposable(block):
+                per_subset[block] = (rf, rho(rf.expand(degree)))
 
     total = PowerSeries.one(degree)
     for mask in range(1, 1 << n):
         subset = [v for v in range(n) if mask >> v & 1]
         product = PowerSeries.one(degree)
         for block in g.decompose(subset):
-            product = product * block_rho(block)
+            product = product * per_subset[block][1]
         total = total + product
 
     if total[0] != 1 or any(c < 0 for c in total.coefficients):

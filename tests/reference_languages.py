@@ -1,4 +1,4 @@
-"""Reference constructions: the straightforward forms of two library routes.
+"""Reference constructions: the straightforward forms of three library routes.
 
 * ``conjgeo_fsa``: complement the geodesic acceptor, close that under cyclic
   permutation, and complement again.  The library closes the complement of
@@ -8,16 +8,27 @@
   block's induced subgraph intersected with the support constraints
   (``cycsl_support_fsa``).  The library takes the block series by Mobius
   inversion over letter restrictions of one closure per maximal block.
+* ``cycsl_support_series``: one block's series as a sequential signed sum,
+  F_B = sum over T in B of (-1)^|B \\ T| G_T, with every G_T a letter
+  restriction of the closure of the maximal block containing B.  The library
+  runs one fast subset transform per maximal block instead.
 
 The tests compare each pair of constructions.
 """
 
 from __future__ import annotations
 
-from raaggrowth.automata import Dfa, complement_lang, cyc_perm, growth_series
-from raaggrowth.graphs import SimpleGraph
-from raaggrowth.languages import cycsl_support_fsa, geo_fsa
-from raaggrowth.series import PowerSeries, rho
+from raaggrowth.automata import (
+    Dfa,
+    complement_lang,
+    cyc_perm,
+    growth_series,
+    restricted_growth_series,
+    vertex_quotient,
+)
+from raaggrowth.graphs import GraphError, SimpleGraph
+from raaggrowth.languages import cycsl_fsa, cycsl_support_fsa, geo_fsa
+from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
@@ -37,3 +48,34 @@ def spherical_conj_series(g: SimpleGraph, degree: int):
             product = product * rho(blocks[block].expand(degree))
         total = total + product
     return total, blocks
+
+
+def cycsl_support_series(g: SimpleGraph, subset, closures=None) -> RationalFunction:
+    """Reduced growth function of ``cycsl_support_fsa``, by one signed sum per block.
+
+    F_B = sum over T in B of (-1)^|B \\ T| G_T, where G_T counts the
+    cyclically-shortlex words over the letters of T (G_empty = 1), read off
+    the closure of the maximal block containing B, lumped once with one colour
+    per vertex.  ``closures`` maps each maximal block to its quotient and its
+    G_T table; a caller sharing one dict across blocks builds each of them once.
+    """
+    subset = sorted(set(subset))
+    if not g.is_indecomposable(subset):
+        raise GraphError(f"subset {subset} is empty or decomposable")
+    top = next(m for m in g.decompose(range(g.n_vertices)) if subset[0] in m)
+    if closures is None:
+        closures = {}
+    if top not in closures:
+        closures[top] = (vertex_quotient(cycsl_fsa(g.induced_subgraph(top))), {})
+    quotient, restricted = closures[top]
+    local = {v: k for k, v in enumerate(top)}
+    rf = RationalFunction.constant(0)
+    for mask in range(1 << len(subset)):
+        part = tuple(v for i, v in enumerate(subset) if mask >> i & 1)
+        if part not in restricted:
+            restricted[part] = restricted_growth_series(quotient, [local[v] for v in part])
+        if (len(subset) - len(part)) % 2:
+            rf = rf - restricted[part]
+        else:
+            rf = rf + restricted[part]
+    return rf

@@ -53,6 +53,16 @@ def test_conj_growth_per_subset(capsys, z2_file):
     assert doc["per_subset"]["{a}"]["rational"] == {"num": ["0", "2"], "den": ["1", "-1"]}
 
 
+def test_conj_growth_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": []}')
+    code, out = run(capsys, "conj-growth", "--graph", str(path), "--max-degree", "4", "--per-subset")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sigma_tilde"] == ["1", "0", "0", "0", "0"]
+    assert doc["per_subset"] == {}
+
+
 def test_conj_growth_part1_crosscheck(capsys, f2_file):
     code, out = run(capsys, "conj-growth", "--graph", f2_file, "--max-degree", "8",
                     "--crosscheck", "part1")

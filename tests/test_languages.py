@@ -178,6 +178,25 @@ def test_cycsl_support_series_rejects_decomposable(path4):
         cycsl_support_series(path4, [])
 
 
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_graphs(min_vertices=1, max_vertices=6))
+@example(SimpleGraph.make(["a"], []))
+@example(path_graph(4))
+@example(cycle_graph(5))
+def test_support_table_matches_sequential_sums(g):
+    # one fast subset transform per maximal block gives every indecomposable
+    # block's fraction exactly as its own signed sum over letter restrictions
+    closures = {}
+    for top in g.decompose(range(g.n_vertices)):
+        table = languages.cycsl_support_table(g, top)
+        assert len(table) == 2 ** len(top) - 1
+        for block, got in table.items():
+            if g.is_indecomposable(block):
+                want = reference_languages.cycsl_support_series(g, block, closures)
+                assert got == want, block
+                assert cycsl_support_series(g, block) == want, block
+
+
 # -- conjugacy geodesics ---------------------------------------------------------
 
 def test_conjgeo_equals_geo_for_abelian():

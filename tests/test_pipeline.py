@@ -149,10 +149,16 @@ def test_bounds_and_errors(path4, monkeypatch):
     def no_work(*args):
         raise AssertionError("a graph above the vertex bound reached the block stage")
 
-    monkeypatch.setattr(pipeline, "cycsl_support_series", no_work)
+    monkeypatch.setattr(pipeline, "cycsl_support_table", no_work)
     labels = [f"v{i}" for i in range(pipeline.MAX_VERTICES + 1)]
     with pytest.raises(GraphError, match=f"{len(labels)} vertices"):
         spherical_conj_series(SimpleGraph.make(labels, []), 4)
+
+
+def test_empty_graph_conjugacy_series():
+    report = spherical_conj_series(SimpleGraph((), frozenset()), 6)
+    assert report.sigma_tilde.coefficients == (1, 0, 0, 0, 0, 0, 0)
+    assert report.per_subset == {}
 
 
 def test_spherical_growth_series_cases(f2):
@@ -300,6 +306,32 @@ def test_one_closure_per_maximal_block(g, monkeypatch):
     maximal = [tuple(g.vertices[v] for v in block) for block in g.decompose(range(g.n_vertices))]
     assert len(maximal) > 1
     assert sorted(closed) == sorted(maximal)
+
+
+@pytest.mark.parametrize("g, subtractions, certificates", [
+    (path_graph(5), 80, 31),  # one maximal block of 5 vertices
+    (SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]), 5, 4),  # Z x F2: {a}, {b, c}
+])
+def test_block_stage_operation_count(g, subtractions, certificates, monkeypatch):
+    # per maximal block of k vertices: 2^k - 1 certificates (G_empty = 1 needs
+    # none) and k 2^(k-1) subtractions in the fast subset transform
+    counts = {"sub": 0, "certify": 0}
+    real_sub, real_certify = RationalFunction.__sub__, languages.restricted_growth_series
+
+    def counting_sub(self, other):
+        counts["sub"] += 1
+        return real_sub(self, other)
+
+    def counting_certify(*args):
+        counts["certify"] += 1
+        return real_certify(*args)
+
+    monkeypatch.setattr(RationalFunction, "__sub__", counting_sub)
+    monkeypatch.setattr(languages, "restricted_growth_series", counting_certify)
+    spherical_conj_series(g, 6)
+    sizes = [len(top) for top in g.decompose(range(g.n_vertices))]
+    assert counts["sub"] == sum(k << (k - 1) for k in sizes) == subtractions
+    assert counts["certify"] == sum((1 << k) - 1 for k in sizes) == certificates
 
 
 @st.composite
