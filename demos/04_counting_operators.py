@@ -40,7 +40,7 @@ print("  rho:", list(rho(loops).coefficients))
 print()
 
 print("neck(z) counts necklaces over a single bead type: exactly one per length.")
-print("  neck(z):", list(neck(PowerSeries.from_list([0, 1], 10)).coefficients))
+print("  neck(z):", list(neck(PowerSeries.from_list([0, 1] + [0] * 9)).coefficients))
 print()
 
 print("Lyndon-flavored sanity check: for the free group F_2 the conjugacy")

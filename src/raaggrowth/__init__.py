@@ -9,7 +9,6 @@ from .automata import (
     count_words,
     cyc_perm,
     empty_language_dfa,
-    epsilon_dfa,
     equivalent,
     growth_series,
     intersect,
@@ -27,27 +26,21 @@ from .languages import (
     conjgeo_fsa,
     conjgeo_series_incl_excl,
     cycsl_fsa,
-    cycsl_support_fsa,
     cycsl_support_series,
     geo_checker,
     geo_fsa,
     lex_threat,
     lprime_fsa,
     shortlex_fsa,
-    support_exact,
-    support_require,
 )
 from .oracle import (
-    conjugacy_key,
     cyclically_reduce,
-    cycrep_bruteforce,
     element_counts,
     enumerate_classes,
     enumerate_elements,
     is_conjugacy_geodesic,
     is_geodesic,
     normal_form,
-    prim_bruteforce,
 )
 from .pipeline import (
     ConjGrowthReport,

@@ -95,12 +95,6 @@ def empty_language_dfa(alphabet: OrderedAlphabet) -> Dfa:
     return Dfa(alphabet, 1, [0] * alphabet.size, 0, set())
 
 
-def epsilon_dfa(alphabet: OrderedAlphabet) -> Dfa:
-    size = alphabet.size
-    table = [1] * size + [1] * size
-    return Dfa(alphabet, 2, table, 0, {0})
-
-
 def single_word_dfa(alphabet: OrderedAlphabet, word) -> Dfa:
     """DFA accepting exactly one word."""
     word = tuple(word)

@@ -41,15 +41,6 @@ class OrderedAlphabet:
     def vertex(self, letter: int) -> int:
         return letter // 2
 
-    def inverse(self, letter: int) -> int:
-        return letter ^ 1
-
-    def positive(self, vertex: int) -> int:
-        return 2 * vertex
-
-    def negative(self, vertex: int) -> int:
-        return 2 * vertex + 1
-
     def vertex_letters(self, vertex: int) -> tuple[int, int]:
         return (2 * vertex, 2 * vertex + 1)
 

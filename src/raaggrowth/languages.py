@@ -6,13 +6,18 @@ Given a defining graph, this module builds complete DFAs for:
                       pair), as an intersection of per-vertex checkers;
 * ``shortlex_fsa`` -- shortlex normal forms: geodesics that are also
                       lexicographically least in their shuffle class, cut out
-                      by forbidden-factor automata (``lex_threat``);
+                      by forbidden-factor automata (``lex_threat``) and then
+                      by the checkers;
 * ``cycsl_fsa``    -- words all of whose rotations are shortlex normal forms;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
                       geodesic, built from one cyclic closure per vertex;
 * ``lprime_fsa``   -- words with a cancelling generator pair up to rotation
                       and shuffling, used for the inclusion-exclusion route to
                       the conjugacy geodesic growth series.
+
+Each acceptor is one fold from a constant automaton, so the empty graph needs
+no branch: ``geo_fsa`` and ``shortlex_fsa`` intersect into X*, and
+``conjgeo_fsa`` unions into the empty language.
 
 The cyclically-constrained languages use the identity
 ``CycL = X* \\ CycPerm(X* \\ L)`` with the cyclic-permutation closure from
@@ -36,6 +41,7 @@ from .automata import (
     all_words_dfa,
     complement_lang,
     cyc_perm,
+    empty_language_dfa,
     growth_series,
     intersect,
     minimize,
@@ -81,12 +87,10 @@ def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
 
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
-    """Geodesic words of the group: intersection of all per-vertex checkers."""
+    """Geodesic words of the group: all per-vertex checkers intersected into X*."""
     alphabet = g.alphabet()
-    if g.n_vertices == 0:
-        return all_words_dfa(alphabet)
-    result = geo_checker(g, alphabet, 0)
-    for v in range(1, g.n_vertices):
+    result = all_words_dfa(alphabet)
+    for v in range(g.n_vertices):
         result = intersect(result, geo_checker(g, alphabet, v))
     return result
 
@@ -130,14 +134,19 @@ def lex_threat(g: SimpleGraph, alphabet: OrderedAlphabet, a: int, b: int) -> Dfa
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:
-    """Shortlex normal forms: geodesics minimal in their shuffle class."""
+    """Shortlex normal forms: geodesics minimal in their shuffle class.
+
+    The ``lex_threat`` automata go into X* before the per-vertex checkers:
+    on Z^n the threats leave n + 1 states, where ``geo_fsa`` has 3^n.
+    """
     alphabet = g.alphabet()
-    result = geo_fsa(g)
+    result = all_words_dfa(alphabet)
     for u, w in sorted(g.edges):
         for a in alphabet.vertex_letters(u):
             for b in alphabet.vertex_letters(w):
-                lo, hi = min(a, b), max(a, b)
-                result = intersect(result, lex_threat(g, alphabet, lo, hi))
+                result = intersect(result, lex_threat(g, alphabet, a, b))  # u < w, so a < b
+    for v in range(g.n_vertices):
+        result = intersect(result, geo_checker(g, alphabet, v))
     return result
 
 
@@ -190,15 +199,14 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     closure runs on a five-state automaton, then the n results are unioned
     and complemented.  The checkers are not minimal, nor are their flipped
     complements; ``cyc_perm`` minimizes its input.  The union folds reachable
-    products and minimizes once: every step measured already minimal.
+    products into the empty language and minimizes once: every step measured
+    already minimal.
     """
     alphabet = g.alphabet()
-    if g.n_vertices == 0:
-        return all_words_dfa(alphabet)
-    rejected = None
+    rejected = empty_language_dfa(alphabet)
     for v in range(g.n_vertices):
         closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
-        rejected = closed if rejected is None else _product(rejected, closed, or_)
+        rejected = _product(rejected, closed, or_)
     return complement_lang(minimize(rejected))
 
 
@@ -235,7 +243,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     vertices = sorted(set(vertices))
     k = len(vertices)
     quotient = vertex_quotient(cycsl_fsa(g.induced_subgraph(vertices)))
-    table = [RationalFunction.constant(1)] + [
+    table = [RationalFunction.make([1])] + [
         restricted_growth_series(quotient, [i for i in range(k) if mask >> i & 1])
         for mask in range(1, 1 << k)
     ]

@@ -21,7 +21,8 @@ shuffled past.  It is computed once per graph.
   lies in a class of smaller minimal length, counted at an earlier layer.
   Any other starts a class of minimal length k unless this layer's closures
   already hold it; its closure under rotations and commuting transpositions
-  (brute force) holds every word of length k in the class.
+  (brute force) holds every word of length k in the class, and its least
+  word, ``min(conjugacy_class_words(g, w))``, is a canonical key.
 * Both enumerations refuse more than ``ORACLE_MAX_LENGTH`` letters and more
   than ``ORACLE_MAX_WORDS`` words held at once, before the work outgrows a
   desk.
@@ -126,10 +127,6 @@ def is_geodesic(g: SimpleGraph, word) -> bool:
 # conjugacy machinery
 # ---------------------------------------------------------------------------
 
-def _rotations(word):
-    return [word[k:] + word[:k] for k in range(len(word))] or [word]
-
-
 def _peel(blockers, letters):
     """Positions (i, j), i < j, of a peelable pair in the reduced ``letters``.
 
@@ -194,11 +191,6 @@ def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:
     return frozenset(seen)
 
 
-def conjugacy_key(g: SimpleGraph, word) -> tuple:
-    """Canonical representative (lex-least minimal word) of the class."""
-    return min(conjugacy_class_words(g, word))
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -258,37 +250,3 @@ def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
         counts.append(count)
     return counts
 
-
-# ---------------------------------------------------------------------------
-# finite-language helpers
-# ---------------------------------------------------------------------------
-
-def cycrep_bruteforce(words) -> set:
-    """Lexicographically least rotation of each rotation class.
-
-    The input must be closed under rotation.
-    """
-    words = {tuple(w) for w in words}
-    for w in words:
-        for r in _rotations(w):
-            if r not in words:
-                raise ValueError(f"input not closed under rotation: missing {r} from {w}")
-    return {min(_rotations(w)) for w in words}
-
-
-def prim_bruteforce(words) -> set:
-    """Words that are not proper powers of shorter members."""
-    words = {tuple(w) for w in words}
-    if () in words:
-        raise ValueError("primitive-word computation requires the empty word excluded")
-    out = set()
-    for w in words:
-        n = len(w)
-        is_power = False
-        for d in range(1, n):
-            if n % d == 0 and w[:d] in words and w[:d] * (n // d) == w:
-                is_power = True
-                break
-        if not is_power:
-            out.add(w)
-    return out

@@ -142,7 +142,7 @@ def cograph_series(g: SimpleGraph, degree: int) -> tuple | None:
     pieces = [cograph_series(g.induced_subgraph(part), degree) for part in parts]
     if None in pieces:
         return None
-    one = RationalFunction.constant(1)
+    one = RationalFunction.make([1])
     sigma, tilde = pieces[0]
     for sigma_b, tilde_b in pieces[1:]:
         if len(components) == 1:  # join: a direct product

@@ -56,9 +56,6 @@ def poly_add(a, b):
 def poly_neg(a):
     return [-x for x in a]
 
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
-
 
 def poly_mul(a, b):
     if not a or not b:
@@ -158,15 +155,8 @@ class PowerSeries:
             raise ValueError("a truncated series needs at least its constant term")
 
     @staticmethod
-    def from_list(values, max_degree=None) -> "PowerSeries":
-        values = [int(v) for v in values]
-        if max_degree is not None:
-            values = values[: max_degree + 1] + [0] * (max_degree + 1 - len(values))
-        return PowerSeries(tuple(values))
-
-    @staticmethod
-    def zero(max_degree: int) -> "PowerSeries":
-        return PowerSeries((0,) * (max_degree + 1))
+    def from_list(values) -> "PowerSeries":
+        return PowerSeries(tuple(int(v) for v in values))
 
     @staticmethod
     def one(max_degree: int) -> "PowerSeries":
@@ -198,9 +188,6 @@ class PowerSeries:
                         out[i + j] += a * b
         return PowerSeries(tuple(out))
 
-    def scale(self, factor: int) -> "PowerSeries":
-        return PowerSeries(tuple(factor * c for c in self.coefficients))
-
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coefficients]
 
@@ -215,7 +202,9 @@ class RationalFunction:
 
     Canonical form: gcd(num, den) = 1, no common content, and the denominator
     has positive constant term (positive leading coefficient if the constant
-    term is zero).
+    term is zero).  ``make`` and every arithmetic operator return this form,
+    so ``==`` is equality of functions for every value built by ``make`` or
+    by arithmetic.
     """
 
     num: tuple[int, ...]
@@ -247,10 +236,6 @@ class RationalFunction:
             den = poly_neg(den)
         return RationalFunction(tuple(num), tuple(den))
 
-    @staticmethod
-    def constant(c: int) -> "RationalFunction":
-        return RationalFunction.make([c])
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
@@ -259,15 +244,12 @@ class RationalFunction:
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(
-            poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
+            poly_add(poly_mul(self.num, other.den), poly_neg(poly_mul(other.num, self.den))),
             poly_mul(self.den, other.den),
         )
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
-
-    def equals(self, other: "RationalFunction") -> bool:
-        return poly_trim(poly_sub(poly_mul(self.num, other.den), poly_mul(other.num, self.den))) == []
 
     def expand(self, max_degree: int) -> PowerSeries:
         """Taylor coefficients to ``max_degree`` via the linear recurrence."""

@@ -5,6 +5,10 @@ renormalize cyclic reduction, written straight from the definitions with
 ``g.alphabet()`` and ``g.adjacent()``.  The element and class counts read
 every word up to a length.  The tests compare the oracle's bitmask routines
 and its enumerations against these on small graphs.
+
+The finite-language helpers at the end, least rotation representatives and
+primitive words of an explicit word set, are the references for the
+counting operators ``rho`` and ``neck``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ def _cancel_once(g, word):
     alphabet = g.alphabet()
     for i, x in enumerate(word):
         v = alphabet.vertex(x)
-        inverse = alphabet.inverse(x)
+        inverse = x ^ 1
         for j in range(i + 1, len(word)):
             w = alphabet.vertex(word[j])
             if word[j] == inverse:
@@ -114,3 +118,38 @@ def class_counts(g, max_length) -> list[int]:
     for key in {conjugacy_key(g, nf) for nf in _normal_forms(g, max_length)}:
         counts[len(key)] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# finite-language helpers
+# ---------------------------------------------------------------------------
+
+def cycrep_bruteforce(words) -> set:
+    """Lexicographically least rotation of each rotation class.
+
+    The input must be closed under rotation.
+    """
+    words = {tuple(w) for w in words}
+    for w in words:
+        for r in _rotations(w):
+            if r not in words:
+                raise ValueError(f"input not closed under rotation: missing {r} from {w}")
+    return {min(_rotations(w)) for w in words}
+
+
+def prim_bruteforce(words) -> set:
+    """Words that are not proper powers of shorter members."""
+    words = {tuple(w) for w in words}
+    if () in words:
+        raise ValueError("primitive-word computation requires the empty word excluded")
+    out = set()
+    for w in words:
+        n = len(w)
+        is_power = False
+        for d in range(1, n):
+            if n % d == 0 and w[:d] in words and w[:d] * (n // d) == w:
+                is_power = True
+                break
+        if not is_power:
+            out.add(w)
+    return out

@@ -69,7 +69,7 @@ def cycsl_support_series(g: SimpleGraph, subset, closures=None) -> RationalFunct
         closures[top] = (vertex_quotient(cycsl_fsa(g.induced_subgraph(top))), {})
     quotient, restricted = closures[top]
     local = {v: k for k, v in enumerate(top)}
-    rf = RationalFunction.constant(0)
+    rf = RationalFunction.make([0])
     for mask in range(1 << len(subset)):
         part = tuple(v for i, v in enumerate(subset) if mask >> i & 1)
         if part not in restricted:

@@ -18,6 +18,7 @@ from math import comb, prod
 
 import pytest
 
+import naive_oracle
 import reference_automata
 from conftest import ACCEPTANCE_RESULTS, all_three_vertex_graphs, complete_graph, z_star_zn
 from raaggrowth import (
@@ -36,15 +37,10 @@ from raaggrowth import (
     shortlex_fsa,
     spherical_conj_series,
     spherical_growth_series,
-    support_require,
     conjgeo_fsa,
 )
-from raaggrowth.oracle import (
-    cyclically_reduce,
-    cycrep_bruteforce,
-    normal_form,
-    prim_bruteforce,
-)
+from raaggrowth.languages import cycsl_support_fsa, support_require
+from raaggrowth.oracle import cyclically_reduce, normal_form
 from raaggrowth.series import PowerSeries, RationalFunction, euler_phi, neck, rho
 
 
@@ -89,7 +85,7 @@ def test_free_abelian_geodesic_series():
             want = rf([1])
             for j in range(1, n + 1):
                 want = want + rf([0, (-1) ** (n - j) * 2 ** j * comb(n, j) * j], [1, -j])
-            assert got.equals(want), n
+            assert got == want, n
 
 
 # -- 2. free abelian conjugacy growth -------------------------------------------
@@ -120,7 +116,7 @@ def test_free_group_cyclically_reduced_series():
             computed = growth_series(cycsl_fsa(g))
             # the published series counts nonempty words; the language here
             # includes the empty word
-            assert (computed - rf([1])).equals(rivin_reduced_words(k)), k
+            assert computed - rf([1]) == rivin_reduced_words(k), k
             sigma = spherical_conj_series(g, 12).sigma_tilde
             want = PowerSeries.one(12) + rho(rivin_reduced_words(k).expand(12))
             assert sigma.coefficients == want.coefficients, k
@@ -141,7 +137,7 @@ def test_z_star_zn_series():
             g = z_star_zn(n)
             published = rf(*Z_STAR_ZN_PUBLISHED[n])
             touching = intersect(cycsl_fsa(g), support_require(g.alphabet(), 0))
-            assert growth_series(touching).equals(published), n
+            assert growth_series(touching) == published, n
             sigma = spherical_conj_series(g, 12).sigma_tilde
             want = prod([ZZ] * n, start=rf([1])).expand(12) + rho(published.expand(12))
             assert sigma.coefficients == want.coefficients, n
@@ -183,22 +179,22 @@ F_ACD = (
 def test_path_graph_support_ac(path4_graph):
     with record("path graph: support {a,c} series"):
         got = cycsl_support_series(path4_graph, [0, 2])
-        assert got.equals(rf(*PUBLISHED_AC))
+        assert got == rf(*PUBLISHED_AC)
 
 
 def test_path_graph_support_acd_published_value(path4_graph):
     with record("path graph: support {a,c,d} series and the erratum of its display"):
         f_acd = rf(*F_ACD)
         derived = rf(*Z_STAR_ZN_PUBLISHED[2]) - rf([0, 2], [1, -1]) - rf([2]) * rf(*PUBLISHED_AC)
-        assert f_acd.equals(derived), "F_acd is not Z*Z^2 minus its {a} and free-pair parts"
+        assert f_acd == derived, "F_acd is not Z*Z^2 minus its {a} and free-pair parts"
         got = cycsl_support_series(path4_graph, [0, 2, 3])
-        assert got.equals(f_acd), (
+        assert got == f_acd, (
             "computed {0} with counts {1}, expected "
             "8z^3(3-z)/((1+z)(1-z)(1-3z)(1-4z-z^2))".format(
                 got.to_json_dict(), list(got.expand(6).coefficients))
         )
         f_abcd = cycsl_support_series(path4_graph, [0, 1, 2, 3])
-        assert rf(*PUBLISHED_ACD).equals(rf([3]) * f_acd - f_abcd), (
+        assert rf(*PUBLISHED_ACD) == rf([3]) * f_acd - f_abcd, (
             "the transcribed {a,c,d} display is no longer 3*F_acd - F_abcd"
         )
 
@@ -213,9 +209,9 @@ def test_path_graph_conj_geodesic_series_both_methods(path4_graph):
         published = rf(p, q)
         direct = conj_geodesic_series(path4_graph, "direct")
         incl_excl = conj_geodesic_series(path4_graph, "incl-excl")
-        assert direct.equals(incl_excl)
-        assert direct.equals(published)
-        assert incl_excl.equals(published)
+        assert direct == incl_excl
+        assert direct == published
+        assert incl_excl == published
 
 
 def test_path_graph_sigma_matches_necklace_form(path4_graph):
@@ -237,7 +233,7 @@ def test_path_graph_sigma_matches_necklace_form(path4_graph):
 def test_path_graph_published_rho_expression(path4_graph):
     with record("path graph: conjugacy series equals corrected rho expression"):
         last_blocks = rf([0, 0, 0, 48], poly_product([1, 1], [1, -1], [1, -3], [1, -5]))
-        assert last_blocks.equals(rf([5]) * rf(*F_ACD) - rf(*PUBLISHED_ACD)), (
+        assert last_blocks == rf([5]) * rf(*F_ACD) - rf(*PUBLISHED_ACD), (
             "48z^3/((1+z)(1-z)(1-3z)(1-5z)) is not 5*F_acd - PUBLISHED_ACD"
         )
         head = rf([1, 6, 5], poly_product([1, -1], [1, -1])).expand(20)
@@ -254,7 +250,7 @@ def test_path_graph_published_rho_expression(path4_graph):
             "closed form to {1}".format(list(expression.coefficients), list(necklace.coefficients))
         )
         sigma = spherical_conj_series(path4_graph, 12).sigma_tilde
-        truncated = PowerSeries.from_list(expression.coefficients, 12)
+        truncated = PowerSeries(expression.coefficients[:13])
         assert sigma.coefficients == truncated.coefficients, (
             "computed series {0} differs from the rho expression {1}".format(
                 list(sigma.coefficients), list(truncated.coefficients)
@@ -315,12 +311,12 @@ def test_operator_suite(path4_graph):
 
         # rho additivity on integer series with cleared denominators
         lcm = 27720  # lcm(1..12)
-        f = PowerSeries.from_list([0, 5, -3, 7, 2, -8, 1, 4, -6, 9, 0, 3, -1]).scale(lcm)
-        g = PowerSeries.from_list([0, -1, 3, 0, 9, -6, 4, 1, -8, 2, 7, -3, 5]).scale(lcm)
+        f = PowerSeries.from_list([lcm * c for c in [0, 5, -3, 7, 2, -8, 1, 4, -6, 9, 0, 3, -1]])
+        g = PowerSeries.from_list([lcm * c for c in [0, -1, 3, 0, 9, -6, 4, 1, -8, 2, 7, -3, 5]])
         assert rho(f + g).coefficients == (rho(f) + rho(g)).coefficients
 
         # neck(z) = z/(1-z)
-        assert neck(PowerSeries.from_list([0, 1], 12)).coefficients == (0,) + (1,) * 12
+        assert neck(PowerSeries.from_list([0, 1] + [0] * 11)).coefficients == (0,) + (1,) * 12
 
         # totient divisor sums
         for n in range(1, 101):
@@ -334,14 +330,12 @@ def test_operator_suite(path4_graph):
             (path4_graph, [0, 2, 3]),
         ]
         for g, subset in samples:
-            from raaggrowth import cycsl_support_fsa
-
             aut = cycsl_support_fsa(g, subset)
             words = set(reference_automata.words_up_to(aut, 8))
             counts = count_words(aut, 8)
 
             # rho counts one representative per rotation class
-            reps = cycrep_bruteforce(words)
+            reps = naive_oracle.cycrep_bruteforce(words)
             rep_counts = [0] * 9
             for w in reps:
                 rep_counts[len(w)] += 1
@@ -349,7 +343,7 @@ def test_operator_suite(path4_graph):
 
             # every word is uniquely a power of a primitive word:
             # [z^n] F_L = sum over k | n of [z^(n/k)] F_Prim
-            prim = prim_bruteforce(words)
+            prim = naive_oracle.prim_bruteforce(words)
             prim_counts = [0] * 9
             for w in prim:
                 prim_counts[len(w)] += 1

@@ -21,7 +21,6 @@ from raaggrowth import (
     cyc_perm,
     cycsl_fsa,
     empty_language_dfa,
-    epsilon_dfa,
     equivalent,
     geo_fsa,
     growth_series,
@@ -29,9 +28,9 @@ from raaggrowth import (
     minimize,
     shortlex_fsa,
     single_word_dfa,
-    support_require,
     union,
 )
+from raaggrowth.languages import support_require
 from raaggrowth.series import RationalFunction
 
 
@@ -65,7 +64,7 @@ def test_all_words_counts():
 
 
 def test_epsilon_and_empty():
-    assert list(count_words(epsilon_dfa(AB), 3)) == [1, 0, 0, 0]
+    assert list(count_words(single_word_dfa(AB, ()), 3)) == [1, 0, 0, 0]
     assert list(count_words(empty_language_dfa(AB), 3)) == [0, 0, 0, 0]
 
 
@@ -163,8 +162,8 @@ def test_complement_of_minimal_is_canonical(d):
 
 def test_concat_epsilon_identity():
     d = single_word_dfa(AB, (2, 1))
-    assert equivalent(concat(d, epsilon_dfa(AB)), d)
-    assert equivalent(concat(epsilon_dfa(AB), d), d)
+    assert equivalent(concat(d, single_word_dfa(AB, ())), d)
+    assert equivalent(concat(single_word_dfa(AB, ()), d), d)
 
 
 def test_concat_two_letters():
@@ -197,7 +196,7 @@ def dfa_pairs(alphabet):
 @example((empty_language_dfa(AB), all_words_dfa(AB)))
 @example((all_words_dfa(AB), empty_language_dfa(AB)))
 # the right operand accepts only the empty word
-@example((single_word_dfa(A1, (0, 1)), epsilon_dfa(A1)))
+@example((single_word_dfa(A1, (0, 1)), single_word_dfa(A1, ())))
 def test_concat_matches_reference(pair):
     a, b = pair
     assert concat(a, b).encode() == reference_automata.concat(a, b).encode()
@@ -218,7 +217,7 @@ def test_cyc_perm_idempotent():
 
 
 def test_cyc_perm_contains_original():
-    d = union(single_word_dfa(AB, (0, 0, 1)), epsilon_dfa(AB))
+    d = union(single_word_dfa(AB, (0, 0, 1)), single_word_dfa(AB, ()))
     closed = cyc_perm(d)
     for word in reference_automata.words_up_to(d, 4):
         assert closed.accepts(word)
@@ -256,17 +255,17 @@ def test_count_words_geodesics_z2():
 def test_growth_series_all_words():
     for alphabet in (A1, AB):
         rf = growth_series(all_words_dfa(alphabet))
-        assert rf.equals(RationalFunction.make([1], [1, -alphabet.size]))
+        assert rf == RationalFunction.make([1], [1, -alphabet.size])
 
 
 def test_growth_series_empty_and_epsilon():
-    assert growth_series(empty_language_dfa(AB)).equals(RationalFunction.make([0]))
-    assert growth_series(epsilon_dfa(AB)).equals(RationalFunction.make([1]))
+    assert growth_series(empty_language_dfa(AB)) == RationalFunction.make([0])
+    assert growth_series(single_word_dfa(AB, ())) == RationalFunction.make([1])
 
 
 def test_growth_series_finite_language():
     d = union(single_word_dfa(AB, (0, 1)), single_word_dfa(AB, (2,)))
-    assert growth_series(d).equals(RationalFunction.make([0, 1, 1]))
+    assert growth_series(d) == RationalFunction.make([0, 1, 1])
 
 
 def test_growth_series_of_zn_shortlex():
@@ -276,7 +275,7 @@ def test_growth_series_of_zn_shortlex():
         g = SimpleGraph.make(
             labels, [[labels[i], labels[j]] for i in range(n) for j in range(i + 1, n)]
         )
-        assert growth_series(shortlex_fsa(g)).equals(prod([zz] * n, start=RationalFunction.make([1])))
+        assert growth_series(shortlex_fsa(g)) == prod([zz] * n, start=RationalFunction.make([1]))
 
 
 # count_words is the expansion of growth_series, so both are checked against

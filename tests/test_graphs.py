@@ -120,11 +120,11 @@ def test_alphabet_order(path4):
     alph = path4.alphabet()
     assert alph.size == 8
     assert alph.vertex(5) == 2
-    assert alph.inverse(4) == 5 and alph.inverse(5) == 4
+    assert alph.vertex_letters(2) == (4, 5)  # a generator, then its inverse x ^ 1
     assert alph.name(0) == "a" and alph.name(1) == "a^-1"
     # letters of earlier vertices all precede letters of later vertices
     for v in range(3):
-        assert alph.negative(v) < alph.positive(v + 1)
+        assert alph.vertex_letters(v)[1] < alph.vertex_letters(v + 1)[0]
 
 
 @given(small_graphs(min_vertices=1, max_vertices=5))

@@ -14,7 +14,6 @@ from raaggrowth import (
     count_words,
     cyc_perm,
     cycsl_fsa,
-    cycsl_support_fsa,
     cycsl_support_series,
     equivalent,
     geo_checker,
@@ -23,13 +22,13 @@ from raaggrowth import (
     intersect,
     lex_threat,
     lprime_fsa,
+    minimize,
     shortlex_fsa,
-    support_exact,
-    support_require,
+    single_word_dfa,
     all_words_dfa,
-    epsilon_dfa,
 )
 from raaggrowth import languages
+from raaggrowth.languages import cycsl_support_fsa, support_exact, support_require
 from raaggrowth.series import RationalFunction
 
 
@@ -77,7 +76,7 @@ def test_geo_fsa_z2(z2):
     assert d.accepts(())
     assert list(count_words(d, 3)) == [1, 4, 12, 28]
     want = rf([1]) + rf([0, -4], [1, -1]) + rf([0, 8], [1, -2])
-    assert growth_series(d).equals(want)
+    assert growth_series(d) == want
 
 
 def test_geo_fsa_free_group(f2):
@@ -106,7 +105,7 @@ def test_lex_threat_preconditions(z2, f2):
 
 def test_shortlex_z(z1):
     d = shortlex_fsa(z1)
-    assert growth_series(d).equals(rf([1, 1], [1, -1]))
+    assert growth_series(d) == rf([1, 1], [1, -1])
 
 
 def test_shortlex_z2_orders_letters(z2):
@@ -116,6 +115,38 @@ def test_shortlex_z2_orders_letters(z2):
 
 def test_shortlex_free_group_counts(f2):
     assert list(count_words(shortlex_fsa(f2), 3)) == [1, 4, 12, 36]
+
+
+def test_shortlex_fsa_keeps_every_intersection_small(monkeypatch):
+    # the threats go into X* before the checkers, so Z^8 never carries the
+    # 3^8 = 6,561 states of its geodesic acceptor through an intersection
+    original = languages.intersect
+    sizes = []
+
+    def spy(a, b):
+        result = original(a, b)
+        sizes.extend((a.n_states, b.n_states, result.n_states))
+        return result
+
+    monkeypatch.setattr(languages, "intersect", spy)
+    shortlex_fsa(complete_graph(8))
+    assert sizes and max(sizes) <= 64
+
+
+def _graphs_up_to_three_vertices():
+    return [SimpleGraph.make([], []), SimpleGraph.make(["a"], [])] + [
+        SimpleGraph.make(["a", "b"], edges) for edges in ([], [["a", "b"]])
+    ] + all_three_vertex_graphs()
+
+
+@pytest.mark.parametrize("build", [geo_fsa, shortlex_fsa, cycsl_fsa, conjgeo_fsa],
+                         ids=lambda build: build.__name__)
+def test_acceptors_are_canonical(build):
+    # each acceptor ends in a minimizing step or in flipping the acceptance of
+    # one, so it is canonical as returned, the one-vertex graph included
+    for g in _graphs_up_to_three_vertices():
+        automaton = build(g)
+        assert minimize(automaton).encode() == automaton.encode(), g.vertices
 
 
 # -- support -------------------------------------------------------------------
@@ -131,7 +162,7 @@ def test_support_require(z2):
 def test_support_exact_empty_set(f2):
     alph = f2.alphabet()
     d = support_exact(all_words_dfa(alph), alph, [])
-    assert equivalent(d, epsilon_dfa(alph))
+    assert equivalent(d, single_word_dfa(alph, ()))
 
 
 def test_support_exact_both_letters(f2):
@@ -142,7 +173,7 @@ def test_support_exact_both_letters(f2):
 
 def test_cycsl_single_vertex_support(f2):
     d = support_exact(cycsl_fsa(f2), f2.alphabet(), [0])
-    assert growth_series(d).equals(rf([0, 2], [1, -1]))
+    assert growth_series(d) == rf([0, 2], [1, -1])
 
 
 # -- cyclically shortlex -------------------------------------------------------
@@ -162,13 +193,13 @@ def test_cycsl_free_group_counts(f2):
 def test_cycsl_support_series_pair(path4):
     got = cycsl_support_series(path4, [0, 2])
     want = rf([0, 0, 8], [1, -3, -1, 3])  # 8z^2/((1+z)(1-z)(1-3z))
-    assert got.equals(want)
+    assert got == want
     assert got.expand(6).coefficients == (0, 0, 8, 24, 80, 240, 728)
 
 
 def test_cycsl_support_series_singleton(path4):
     got = cycsl_support_series(path4, [0])
-    assert got.equals(rf([0, 2], [1, -1]))
+    assert got == rf([0, 2], [1, -1])
 
 
 def test_cycsl_support_series_rejects_decomposable(path4):
@@ -282,7 +313,7 @@ def test_lprime_prefix_constraint(path4):
     # before the opening x_b kills the word
     alph = path4.alphabet()
     b_pos, b_neg = alph.vertex_letters(1)
-    d_pos = alph.positive(3)
+    d_pos, _ = alph.vertex_letters(3)
     aut = lprime_fsa(path4, 1)
     assert not aut.accepts((d_pos, b_pos, b_neg))
     assert not aut.accepts((b_pos, b_neg, d_pos))  # suffix constraint too
@@ -290,9 +321,8 @@ def test_lprime_prefix_constraint(path4):
 
 def test_lprime_neighbor_wrapping(path4):
     # a x_b c x_b^-1 a, with a and c neighbors of b
-    alph = path4.alphabet()
-    word = (alph.positive(0), alph.positive(1), alph.positive(2),
-            alph.negative(1), alph.positive(0))
+    (a, _), (b, b_inv), (c, _) = (path4.alphabet().vertex_letters(v) for v in range(3))
+    word = (a, b, c, b_inv, a)
     assert lprime_fsa(path4, 1).accepts(word)
 
 
@@ -326,8 +356,9 @@ def test_cycsl_restricts_to_subgraphs(graph_index):
         local = support_exact(cycsl_fsa(induced), induced.alphabet(), range(len(subset)))
         letter_map = {}
         for k, v in enumerate(subset):
-            letter_map[alph.positive(v)] = 2 * k
-            letter_map[alph.negative(v)] = 2 * k + 1
+            pos, neg = alph.vertex_letters(v)
+            letter_map[pos] = 2 * k
+            letter_map[neg] = 2 * k + 1
         embedded = reference_automata.map_letters(local, alph, letter_map)
         assert equivalent(ambient_u, embedded), subset
 

@@ -25,9 +25,9 @@ from raaggrowth import (
     geodesic_series,
     detect_part1_family,
     part1_crosscheck,
-    support_exact,
 )
 from raaggrowth import languages, pipeline
+from raaggrowth.languages import support_exact
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
@@ -75,18 +75,18 @@ def test_mixed_support_cyclically_shortlex_is_empty():
     # of the raw full-support language on a decomposable subset.
     g = complete_graph(2)
     aut = support_exact(cycsl_fsa(g), g.alphabet(), [0, 1])
-    assert growth_series(aut).equals(rf([0]))
+    assert growth_series(aut) == rf([0])
 
 
 def _oracle_class_counts_by_support(g, max_length):
-    from raaggrowth.oracle import conjugacy_key, enumerate_elements
+    from raaggrowth.oracle import conjugacy_class_words, enumerate_elements
 
     seen = set()
     table = {}
     alph = g.alphabet()
     for layer in enumerate_elements(g, max_length):
         for w in layer:
-            key = conjugacy_key(g, w)
+            key = min(conjugacy_class_words(g, w))
             if key in seen:
                 continue
             seen.add(key)
@@ -126,7 +126,7 @@ def test_per_subset_report_and_cache(path4):
         (0, 1, 2, 3),
     }
     rf_ac, rho_ac = report.per_subset[(0, 2)]
-    assert rf_ac.equals(rf([0, 0, 8], [1, -3, -1, 3]))
+    assert rf_ac == rf([0, 0, 8], [1, -3, -1, 3])
     assert rho_ac[2] == 4
 
 
@@ -162,16 +162,16 @@ def test_empty_graph_conjugacy_series():
 
 
 def test_spherical_growth_series_cases(f2):
-    assert spherical_growth_series(f2).equals(rf([1, 1], [1, -3]))
+    assert spherical_growth_series(f2) == rf([1, 1], [1, -3])
     empty = SimpleGraph((), frozenset())
-    assert spherical_growth_series(empty).equals(rf([1]))
-    for n in (1, 2, 3):
-        assert spherical_growth_series(complete_graph(n)).equals(prod([ZZ] * n, start=rf([1])))
+    assert spherical_growth_series(empty) == rf([1])
+    for n in (1, 2, 3, 8):
+        assert spherical_growth_series(complete_graph(n)) == prod([ZZ] * n, start=rf([1]))
 
 
 def test_conj_geodesic_series_z(z1):
     for method in ("direct", "incl-excl"):
-        assert conj_geodesic_series(z1, method).equals(ZZ)
+        assert conj_geodesic_series(z1, method) == ZZ
     with pytest.raises(ValueError):
         conj_geodesic_series(z1, "nope")
 
@@ -181,14 +181,14 @@ def test_geodesic_equals_conj_geodesic_for_abelian():
     # geodesic series 1 - 4z/(1-z) + 8z/(1-2z)
     g = complete_graph(2)
     want = rf([1]) + rf([0, -4], [1, -1]) + rf([0, 8], [1, -2])
-    assert geodesic_series(g).equals(want)
-    assert conj_geodesic_series(g, "direct").equals(want)
-    assert conj_geodesic_series(g, "incl-excl").equals(want)
+    assert geodesic_series(g) == want
+    assert conj_geodesic_series(g, "direct") == want
+    assert conj_geodesic_series(g, "incl-excl") == want
 
 
 def test_conj_geodesic_methods_agree_on_free_rank_4():
     g = SimpleGraph.make(["a", "b", "c", "d"], [])
-    assert conj_geodesic_series(g, "direct").equals(conj_geodesic_series(g, "incl-excl"))
+    assert conj_geodesic_series(g, "direct") == conj_geodesic_series(g, "incl-excl")
 
 
 def test_part1_families_against_pipeline():
