@@ -6,6 +6,10 @@
 * ``concat``: build an NFA with an epsilon move from every accepting state of
   the left operand to the initial state of the right one, determinize it by
   the subset construction over epsilon closures, and minimize as above.
+* ``cyc_perm``: minimize the input, build the piece Suffixes(q) . Prefixes(q)
+  of every state q with the reference ``concat``, drop pieces with equal
+  encodings, and fold the pieces with ``automata.union``, which minimizes
+  after every step.  The library minimizes its fold only when it has doubled.
 * ``map_letters``: fill the new transition table one lookup per state and
   target letter, and minimize as above.  The library has no letter map: it
   reads every letter restriction off one vertex-coloured lumped quotient.
@@ -22,7 +26,7 @@
   proves its fraction in one step on the whole lumped quotient instead.
 
 The tests compare ``automata.minimize``, ``automata.concat``,
-``automata.count_words``, ``automata.growth_series`` and
+``automata.cyc_perm``, ``automata.count_words``, ``automata.growth_series`` and
 ``automata.restricted_growth_series`` against them.  ``words_up_to`` lists
 the accepted words of an automaton by length, for brute-force comparisons.
 """
@@ -199,6 +203,21 @@ def concat(a: Dfa, b: Dfa) -> Dfa:
     accepting = {offset + q for q in b.accepting}
     nfa = Nfa(a.alphabet, offset + b.n_states, transitions, eps, {a.initial}, accepting)
     return minimize(nfa.determinize())
+
+
+def cyc_perm(dfa: Dfa) -> Dfa:
+    """Closure of L(dfa) under cyclic permutation, one minimized union per piece."""
+    a = minimize(dfa)
+    pieces = {}
+    for q in range(a.n_states):
+        suffixes = Dfa(a.alphabet, a.n_states, a.transitions, q, a.accepting)
+        prefixes = Dfa(a.alphabet, a.n_states, a.transitions, a.initial, {q})
+        piece = concat(suffixes, prefixes)
+        pieces.setdefault(piece.encode(), piece)
+    result = automata.empty_language_dfa(a.alphabet)
+    for piece in pieces.values():
+        result = automata.union(result, piece)
+    return result
 
 
 def map_letters(dfa: Dfa, target: OrderedAlphabet, letter_map) -> Dfa:

@@ -240,6 +240,36 @@ def test_cyc_perm_fixes_conjugacy_geodesics():
     assert equivalent(cyc_perm(d), d)
 
 
+# the closure of a random automaton can be exponentially larger (one with 4
+# states over four letters reached 129,955), so the operands stay small
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(AB, 3), (A1, 5)]).flatmap(
+    lambda case: random_dfas(case[0], max_states=case[1], random_initial=True)))
+# the fold of each of these ends on a product that is not minimal, so the
+# closure is canonical only after the last minimize
+@example(Dfa(AB, 2, (0, 1, 0, 0, 0, 0, 0, 1), 1, {0}))
+@example(complement_lang(shortlex_fsa(SimpleGraph.make(["a", "b"], [["a", "b"]]))))
+@example(complement_lang(shortlex_fsa(path_graph(3))))
+def test_cyc_perm_matches_reference(d):
+    assert cyc_perm(d).encode() == reference_automata.cyc_perm(d).encode()
+
+
+def test_cyc_perm_minimizes_little(monkeypatch):
+    # the fold re-minimizes only when it has doubled: 1,642 states reach
+    # minimize on P5, where minimizing every union step hands it 4,232
+    language = complement_lang(shortlex_fsa(path_graph(5)))
+    original = automata.minimize
+    sizes = []
+
+    def spy(dfa):
+        sizes.append(dfa.n_states)
+        return original(dfa)
+
+    monkeypatch.setattr(automata, "minimize", spy)
+    cyc_perm(language)
+    assert sizes and sum(sizes) <= 2000
+
+
 # -- counting and growth series ----------------------------------------------
 
 def test_count_words_shortlex_z():
