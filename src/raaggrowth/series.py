@@ -204,7 +204,9 @@ class RationalFunction:
     has positive constant term (positive leading coefficient if the constant
     term is zero).  ``make`` and every arithmetic operator return this form,
     so ``==`` is equality of functions for every value built by ``make`` or
-    by arithmetic.
+    by arithmetic.  ``make`` reduces by the gcd of numerator and denominator;
+    sums and differences, whose operands are reduced already, cancel only
+    what their denominators share (Henrici's method, ``_sum``).
     """
 
     num: tuple[int, ...]
@@ -226,6 +228,11 @@ class RationalFunction:
         if len(g) > 1:
             num = poly_divide_exact(num, g)
             den = poly_divide_exact(den, g)
+        return RationalFunction._scaled(num, den)
+
+    @staticmethod
+    def _scaled(num, den) -> "RationalFunction":
+        """num/den, coprime over Q, divided by its common content, with ``make``'s sign."""
         c = gcd(poly_content(num), poly_content(den))
         if c > 1:
             num = [x // c for x in num]
@@ -237,16 +244,34 @@ class RationalFunction:
         return RationalFunction(tuple(num), tuple(den))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
+        return self._sum(other.num, other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            poly_add(poly_mul(self.num, other.den), poly_neg(poly_mul(other.num, self.den))),
-            poly_mul(self.den, other.den),
-        )
+        return self._sum(poly_neg(other.num), other.den)
+
+    def _sum(self, c, d) -> "RationalFunction":
+        """a/b + c/d with c/d reduced, by Henrici's method (Knuth, TAOCP Vol. 2, 4.5.1).
+
+        With g = gcd(b, d), b' = b/g and d' = d/g, a/b + c/d = t/(b' d) for
+        t = a d' + c b'.  t is coprime to b' and to d', so only gcd(t, g) can
+        cancel; dividing t and d by it leaves a fraction coprime over Q.  The
+        gcds involve only the parts the denominators share, where ``make``
+        would take the gcd of the whole product.
+        """
+        a, b = self.num, self.den
+        g = poly_gcd(b, d)
+        if len(g) > 1:
+            b = poly_divide_exact(b, g)
+            t = poly_add(poly_mul(a, poly_divide_exact(d, g)), poly_mul(c, b))
+            g = poly_gcd(t, g)
+            if len(g) > 1:
+                t = poly_divide_exact(t, g)
+                d = poly_divide_exact(d, g)
+        else:
+            t = poly_add(poly_mul(a, d), poly_mul(c, b))
+        if not t:
+            return RationalFunction((0,), (1,))
+        return RationalFunction._scaled(t, poly_mul(b, d))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.make(poly_mul(self.num, other.num), poly_mul(self.den, other.den))

@@ -10,9 +10,11 @@ from raaggrowth.series import (
     RationalFunction,
     euler_phi,
     neck,
+    poly_add,
     poly_divide_exact,
     poly_gcd,
     poly_mul,
+    poly_neg,
     poly_primitive,
     rho,
 )
@@ -150,6 +152,36 @@ def test_add_commutes_with_expand(n1, n2):
     right_a = a.expand(8).coefficients
     right_b = b.expand(8).coefficients
     assert left.coefficients == tuple(x + y for x, y in zip(right_a, right_b))
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two reduced fractions whose denominators share a factor h, each with a
+    content of either sign.  Sometimes the second is r - first for a random r,
+    so that the sum cancels what first's denominator has beyond r's."""
+    h = draw(common_factors())
+    first = rf(draw(common_factors()), poly_mul(h, draw(common_factors())))
+    if draw(st.booleans()):
+        r = rf(draw(polynomials), draw(common_factors()))
+        return first, rf(poly_add(poly_mul(r.num, first.den), poly_neg(poly_mul(first.num, r.den))),
+                         poly_mul(r.den, first.den))
+    return first, rf(draw(polynomials), poly_mul(h, draw(common_factors())))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fraction_pairs())
+@example((rf([1], [1, -1]), rf([0, 1], [1, -1])))  # the difference cancels 1 - z
+@example((rf([1], [2]), rf([1], [2])))               # the sum has content 2
+@example((rf([0, 2], [1, -1]), rf([0, 2], [1, -1])))  # the difference is zero
+@example((rf([1], [1, -1]), rf([1], [1, -2])))       # coprime denominators
+def test_sum_matches_make_of_cross_products(pair):
+    # Henrici's sum gives make's reduced form without the gcd of the product
+    x, y = pair
+    ad, cb = poly_mul(x.num, y.den), poly_mul(y.num, x.den)
+    bd = poly_mul(x.den, y.den)
+    assert x + y == rf(poly_add(ad, cb), bd)
+    assert x - y == rf(poly_add(ad, poly_neg(cb)), bd)
+    assert x - x == RationalFunction((0,), (1,))
 
 
 def test_euler_phi_values():
