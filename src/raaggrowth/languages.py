@@ -24,10 +24,10 @@ The cyclically-constrained languages use the identity
 ``automata.cyc_perm``.  The closure distributes over union, so when L is an
 intersection of small automata L_v it can be taken piece by piece:
 ``X* \\ L = union_v (X* \\ L_v)`` and ``CycPerm`` of that union is the union
-of the ``CycPerm(X* \\ L_v)``.  ``conjgeo_fsa`` does this over the five-state
-geodesic checkers, which is far cheaper than closing the complement of the
-whole geodesic acceptor (hundreds of states).  ``cycsl_fsa`` does not: spread
-over the ``lex_threat`` automata as well, the closures and their unions
+of the ``CycPerm(X* \\ L_v)``.  ``conjgeo_fsa`` does this over the minimal
+four-state geodesic checkers, which is far cheaper than closing the complement
+of the whole geodesic acceptor (hundreds of states).  ``cycsl_fsa`` does not:
+spread over the ``lex_threat`` automata as well, the closures and their unions
 measured 3-6x slower than one closure of the shortlex complement.
 """
 
@@ -46,6 +46,7 @@ from .automata import (
     intersect,
     minimize,
     restricted_growth_series,
+    union,
     vertex_quotient,
 )
 from .graphs import GraphError, OrderedAlphabet, SimpleGraph
@@ -56,34 +57,34 @@ from .series import RationalFunction
 # geodesic checkers
 # ---------------------------------------------------------------------------
 
-def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Five-state checker rejecting words where some shuffle cancels an x_v pair.
+def _avoid(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> Dfa:
+    """Words with no factor ``first s last``, s over letters commuting with ``last``.
 
-    States: 0 clean / 1 pending x_v / 2 pending x_v^-1 / 3 blocked by a
-    non-commuting letter / 4 reject sink.  Letters of vertices adjacent to v
-    keep the pending letter shuffleable; other vertices' letters block it.
-    The blocked state is instantiated even when v is adjacent to everything
-    (minimization removes it later).
+    States: idle / threat (a ``first`` that ``last`` could still meet) / dead.
+    In the threat state another ``first`` keeps the threat, since it opens a
+    new candidate factor even when it does not commute with ``last``.
+    """
+    idle, threat, dead = range(3)
+    home = alphabet.vertex(last)
+    letters = range(alphabet.size)
+    table = [threat if x == first else idle for x in letters]
+    table += [dead if x == last else threat if x == first or g.adjacent(alphabet.vertex(x), home)
+              else idle for x in letters]
+    table += [dead] * alphabet.size
+    return Dfa(alphabet, 3, table, idle, {idle, threat})
+
+
+def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
+
+    Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
+    with every letter of s on a vertex adjacent to v: the two ``_avoid``
+    automata for e = +1 and e = -1, intersected into four states.
     """
     if not 0 <= v < g.n_vertices:
         raise GraphError(f"unknown vertex index {v}")
-    q1, q2, q3, q4, sink = range(5)
     pos, neg = alphabet.vertex_letters(v)
-    rows = {q1: {}, q2: {}, q3: {}, q4: {}, sink: {}}
-    for x in range(alphabet.size):
-        w = alphabet.vertex(x)
-        if w == v:
-            if x == pos:
-                rows[q1][x], rows[q2][x], rows[q3][x], rows[q4][x] = q2, q2, sink, q2
-            else:
-                rows[q1][x], rows[q2][x], rows[q3][x], rows[q4][x] = q3, sink, q3, q3
-        elif g.adjacent(v, w):
-            rows[q1][x], rows[q2][x], rows[q3][x], rows[q4][x] = q1, q2, q3, q4
-        else:
-            rows[q1][x], rows[q2][x], rows[q3][x], rows[q4][x] = q4, q4, q4, q4
-        rows[sink][x] = sink
-    table = [rows[q][x] for q in range(5) for x in range(alphabet.size)]
-    return Dfa(alphabet, 5, table, q1, {q1, q2, q3, q4})
+    return intersect(_avoid(g, alphabet, pos, neg), _avoid(g, alphabet, neg, pos))
 
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
@@ -115,22 +116,7 @@ def lex_threat(g: SimpleGraph, alphabet: OrderedAlphabet, a: int, b: int) -> Dfa
         raise ValueError("lex_threat letters must sit on distinct vertices")
     if not g.adjacent(va, vb):
         raise ValueError("lex_threat letters must sit on adjacent vertices")
-    idle, threat, dead = range(3)
-    table = []
-    for q in range(3):
-        for x in range(alphabet.size):
-            if q == idle:
-                table.append(threat if x == b else idle)
-            elif q == threat:
-                if x == a:
-                    table.append(dead)
-                elif g.adjacent(alphabet.vertex(x), va):
-                    table.append(threat)
-                else:
-                    table.append(idle)
-            else:
-                table.append(dead)
-    return Dfa(alphabet, 3, table, idle, {idle, threat})
+    return _avoid(g, alphabet, b, a)
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:
@@ -196,9 +182,8 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     word fails to be conjugacy geodesic exactly when some rotation of it is
     rejected by some checker: the non-conjugacy-geodesics are the union over
     v of CycPerm(X* \\ L_v), since the closure distributes over union.  Each
-    closure runs on a five-state automaton, then the n results are unioned
-    and complemented.  The checkers are not minimal, nor are their flipped
-    complements; ``cyc_perm`` minimizes its input.  The union folds reachable
+    closure runs on the complement of a minimal four-state checker, then the
+    n results are unioned and complemented.  The union folds reachable
     products into the empty language and minimizes once: every step measured
     already minimal.
     """
@@ -267,54 +252,38 @@ def cycsl_support_series(g: SimpleGraph, subset) -> RationalFunction:
 # inclusion-exclusion route to the conjugacy geodesic series
 # ---------------------------------------------------------------------------
 
+def _bracket(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> Dfa:
+    """Words w1 ``first`` w2 ``last`` w3, w1 and w3 over letters commuting with ``first``.
+
+    States: start (reading w1) / open (``first`` read) / closed (``last``
+    read, then only neighbors' letters) / dead.  Any letter that cannot
+    extend w3 moves the closing ``last`` into w2 and reopens.
+    """
+    start, opened, closed, dead = range(4)
+    nbrs = g.neighbors(alphabet.vertex(first))
+    letters = range(alphabet.size)
+    border = [alphabet.vertex(x) in nbrs for x in letters]
+    table = [opened if x == first else start if border[x] else dead for x in letters]
+    table += [closed if x == last else opened for x in letters]
+    table += [closed if x == last or border[x] else opened for x in letters]
+    table += [dead] * alphabet.size
+    return Dfa(alphabet, 4, table, start, {closed})
+
+
 def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
     """Words w1 x_v^e w2 x_v^-e w3 with w1, w3 over the neighbors of v.
 
     These are exactly the words that, after some rotation and shuffling,
     contain a cancelling x_v pair.  Because w1 may only use letters of
     vertices adjacent to v, the opening x_v^e must be the first letter whose
-    vertex is not a neighbor of v; symmetrically for the closing letter.
+    vertex is not a neighbor of v; symmetrically for the closing letter.  The
+    minimal union of the two ``_bracket`` automata, one per sign e.
     """
     if not 0 <= v < g.n_vertices:
         raise GraphError(f"unknown vertex index {v}")
     alphabet = g.alphabet()
-    nbrs = g.neighbors(v)
     pos, neg = alphabet.vertex_letters(v)
-    start, open_pos, closed_pos, open_neg, closed_neg, dead = range(6)
-    table = []
-    for q in range(6):
-        for x in range(alphabet.size):
-            w = alphabet.vertex(x)
-            if q == start:
-                if x == pos:
-                    table.append(open_pos)
-                elif x == neg:
-                    table.append(open_neg)
-                elif w in nbrs:
-                    table.append(start)
-                else:
-                    table.append(dead)
-            elif q == open_pos:
-                table.append(closed_pos if x == neg else open_pos)
-            elif q == closed_pos:
-                if x == pos:
-                    table.append(open_pos)
-                elif x == neg or w in nbrs:
-                    table.append(closed_pos)
-                else:
-                    table.append(open_pos)
-            elif q == open_neg:
-                table.append(closed_neg if x == pos else open_neg)
-            elif q == closed_neg:
-                if x == neg:
-                    table.append(open_neg)
-                elif x == pos or w in nbrs:
-                    table.append(closed_neg)
-                else:
-                    table.append(open_neg)
-            else:
-                table.append(dead)
-    return Dfa(alphabet, 6, table, start, {closed_pos, closed_neg})
+    return union(_bracket(g, alphabet, pos, neg), _bracket(g, alphabet, neg, pos))
 
 
 def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
@@ -331,7 +300,7 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     empty exactly when it has no accepting state.  Such a subtree is cut,
     since every further intersection is empty too.
     """
-    lprimes = [minimize(lprime_fsa(g, v)) for v in range(g.n_vertices)]
+    lprimes = [lprime_fsa(g, v) for v in range(g.n_vertices)]
 
     def signed_sum(automaton: Dfa, first: int) -> RationalFunction:
         # sum over subsets T of {first, ..., n-1} of (-1)^|T| * growth(automaton & L'_T)

@@ -11,6 +11,7 @@ from raaggrowth import (
     GraphError,
     conjgeo_fsa,
     conjgeo_series_incl_excl,
+    complement_lang,
     count_words,
     cyc_perm,
     cycsl_fsa,
@@ -147,6 +148,17 @@ def test_acceptors_are_canonical(build):
     for g in _graphs_up_to_three_vertices():
         automaton = build(g)
         assert minimize(automaton).encode() == automaton.encode(), g.vertices
+
+
+def test_constraint_automata_are_canonical():
+    # the per-vertex automata end in an intersection or a union, which minimize
+    for g in _graphs_up_to_three_vertices():
+        alphabet = g.alphabet()
+        for v in range(g.n_vertices):
+            checker = geo_checker(g, alphabet, v)
+            assert checker.n_states == 4, (g.vertices, v)
+            for automaton in (checker, lprime_fsa(g, v)):
+                assert minimize(automaton).encode() == automaton.encode(), (g.vertices, v)
 
 
 # -- support -------------------------------------------------------------------
@@ -338,6 +350,68 @@ def test_lprime_brute_force_definition(f2):
                 and word[-1] == (word[0] ^ 1)
             )
             assert aut.accepts(word) == expected, word
+
+
+# -- factor definitions ------------------------------------------------------------
+# The paper defines each constraint by factors; these predicates read the
+# definitions off a word directly, with no automaton.
+
+def _commuting_span(g, alphabet, word, i, j, v):
+    return all(g.adjacent(alphabet.vertex(x), v) for x in word[i:j])
+
+
+def _has_factor(g, alphabet, word, first, last):
+    # a factor first s last with every letter of s commuting with last
+    v = alphabet.vertex(last)
+    return any(word[i] == first and word[j] == last
+               and _commuting_span(g, alphabet, word, i + 1, j, v)
+               for i in range(len(word)) for j in range(i + 1, len(word)))
+
+
+def _in_lprime(g, alphabet, word, v):
+    # w1 x_v^e w2 x_v^-e w3 with w1 and w3 over the neighbors of v
+    return any(alphabet.vertex(word[i]) == v and word[j] == word[i] ^ 1
+               and _commuting_span(g, alphabet, word, 0, i, v)
+               and _commuting_span(g, alphabet, word, j + 1, len(word), v)
+               for i in range(len(word)) for j in range(i + 1, len(word)))
+
+
+def _words_up_to(size, length):
+    return [w for k in range(length + 1) for w in itertools.product(range(size), repeat=k)]
+
+
+def test_constraint_automata_match_factor_definitions():
+    for g in _graphs_up_to_three_vertices():
+        alphabet = g.alphabet()
+        words = _words_up_to(alphabet.size, 4)
+        for v in range(g.n_vertices):
+            pos, neg = alphabet.vertex_letters(v)
+            checker, lprime = geo_checker(g, alphabet, v), lprime_fsa(g, v)
+            for word in words:
+                geodesic = not (_has_factor(g, alphabet, word, pos, neg)
+                                or _has_factor(g, alphabet, word, neg, pos))
+                assert checker.accepts(word) == geodesic, (g.vertices, v, word)
+                in_lprime = _in_lprime(g, alphabet, word, v)
+                assert lprime.accepts(word) == in_lprime, (g.vertices, v, word)
+        for a, b in itertools.combinations(range(alphabet.size), 2):
+            if not g.adjacent(alphabet.vertex(a), alphabet.vertex(b)):
+                continue
+            threat = lex_threat(g, alphabet, a, b)
+            for word in words:
+                avoids = not _has_factor(g, alphabet, word, b, a)
+                assert threat.accepts(word) == avoids, (g.vertices, a, b, word)
+
+
+@pytest.mark.parametrize("g", [path_graph(4), path_graph(5), cycle_graph(5),
+                               path_graph(6), cycle_graph(6)],
+                         ids=["P4", "P5", "C5", "P6", "C6"])
+def test_conjgeo_routes_share_no_automaton(g):
+    # the incl-excl route is an independent check on the cyclic-closure route
+    # only while its L'_v is not the closed checker complement under another name
+    alphabet = g.alphabet()
+    for v in range(g.n_vertices):
+        closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
+        assert closed.encode() != minimize(lprime_fsa(g, v)).encode(), v
 
 
 # -- restriction property ---------------------------------------------------------
