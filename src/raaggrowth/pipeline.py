@@ -9,9 +9,9 @@ where F_i is the growth series of the cyclically-shortlex words supported
 exactly on U_i.  Every indecomposable block lies inside one maximal block (a
 component of the whole graph's complement), and one table per maximal block
 (``languages.cycsl_support_table``) gives all their series at once: one
-cyclic closure, lumped once with one colour per vertex, every letter
-restriction read off that quotient, and one fast Mobius transform over the
-subsets.  Each block is kept as its reduced fraction and the rho of its
+cyclically-shortlex acceptor, lumped once with one colour per vertex, every
+letter restriction read off that quotient, and one fast Mobius transform over
+the subsets.  Each block is kept as its reduced fraction and the rho of its
 expansion, and the subset sum then only multiplies and adds truncated series.
 
 ``cograph_series`` is an independent closed form on a cograph (no induced

@@ -1,17 +1,20 @@
-"""Reference constructions: the straightforward forms of three library routes.
+"""Reference constructions: the straightforward forms of four library routes.
 
 * ``conjgeo_fsa``: complement the geodesic acceptor, close that under cyclic
   permutation, and complement again.  The library closes the complement of
   each per-vertex checker instead and unions the results.
+* ``cycsl_fsa``: the same closure identity on the shortlex acceptor.  The
+  library intersects one cyclic checker per vertex instead, with no closure.
 * ``spherical_conj_series``: the subset sum with every indecomposable block's
   series read off its own automaton, the cyclically-shortlex language of the
   block's induced subgraph intersected with the support constraints
   (``cycsl_support_fsa``).  The library takes the block series by Mobius
-  inversion over letter restrictions of one closure per maximal block.
+  inversion over letter restrictions of one acceptor per maximal block.
 * ``cycsl_support_series``: one block's series as a sequential signed sum,
   F_B = sum over T in B of (-1)^|B \\ T| G_T, with every G_T a letter
-  restriction of the closure of the maximal block containing B.  The library
-  runs one fast subset transform per maximal block instead.
+  restriction of the cyclically-shortlex acceptor of the maximal block
+  containing B.  The library runs one fast subset transform per maximal
+  block instead.
 
 The tests compare each pair of constructions.
 """
@@ -27,13 +30,19 @@ from raaggrowth.automata import (
     vertex_quotient,
 )
 from raaggrowth.graphs import GraphError, SimpleGraph
-from raaggrowth.languages import cycsl_fsa, cycsl_support_fsa, geo_fsa
+from raaggrowth import languages
+from raaggrowth.languages import cycsl_support_fsa, geo_fsa, shortlex_fsa
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     """Conjugacy geodesic words (= words with every rotation geodesic)."""
     return complement_lang(cyc_perm(complement_lang(geo_fsa(g))))
+
+
+def cycsl_fsa(g: SimpleGraph) -> Dfa:
+    """Words all of whose cyclic permutations are shortlex normal forms."""
+    return complement_lang(cyc_perm(complement_lang(shortlex_fsa(g))))
 
 
 def spherical_conj_series(g: SimpleGraph, degree: int):
@@ -55,7 +64,7 @@ def cycsl_support_series(g: SimpleGraph, subset, closures=None) -> RationalFunct
 
     F_B = sum over T in B of (-1)^|B \\ T| G_T, where G_T counts the
     cyclically-shortlex words over the letters of T (G_empty = 1), read off
-    the closure of the maximal block containing B, lumped once with one colour
+    the acceptor of the maximal block containing B, lumped once with one colour
     per vertex.  ``closures`` maps each maximal block to its quotient and its
     G_T table; a caller sharing one dict across blocks builds each of them once.
     """
@@ -66,7 +75,7 @@ def cycsl_support_series(g: SimpleGraph, subset, closures=None) -> RationalFunct
     if closures is None:
         closures = {}
     if top not in closures:
-        closures[top] = (vertex_quotient(cycsl_fsa(g.induced_subgraph(top))), {})
+        closures[top] = (vertex_quotient(languages.cycsl_fsa(g.induced_subgraph(top))), {})
     quotient, restricted = closures[top]
     local = {v: k for k, v in enumerate(top)}
     rf = RationalFunction.make([0])

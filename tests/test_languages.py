@@ -28,7 +28,7 @@ from raaggrowth import (
     single_word_dfa,
     all_words_dfa,
 )
-from raaggrowth import languages
+from raaggrowth import automata, languages, oracle
 from raaggrowth.languages import cycsl_support_fsa, support_exact, support_require
 from raaggrowth.series import RationalFunction
 
@@ -311,6 +311,43 @@ def test_conjgeo_matches_single_closure_reference(g):
     assert conjgeo_fsa(g).encode() == reference_languages.conjgeo_fsa(g).encode()
 
 
+# -- cyclically shortlex ---------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_graphs(min_vertices=1, max_vertices=6))
+def test_cycsl_matches_closure_reference(g):
+    # the per-vertex cyclic checkers give the same minimal automaton as the
+    # cyclic closure of the shortlex complement
+    assert cycsl_fsa(g).encode() == reference_languages.cycsl_fsa(g).encode()
+
+
+_NAMED = {"empty": SimpleGraph.make([], []),
+          **{f"P{n}": path_graph(n) for n in range(4, 9)},
+          **{f"C{n}": cycle_graph(n) for n in range(5, 9)},
+          "co-P8": path_graph(8).complement(), "co-C8": cycle_graph(8).complement(),
+          "Z8": complete_graph(8), "F8": complete_graph(8).complement()}
+
+
+@pytest.mark.parametrize("g", _NAMED.values(), ids=_NAMED.keys())
+def test_cycsl_matches_closure_reference_on_named_graphs(g):
+    assert cycsl_fsa(g).encode() == reference_languages.cycsl_fsa(g).encode()
+
+
+def test_cycsl_fsa_takes_no_closure(monkeypatch):
+    calls = {"cyc_perm": 0, "concat": 0, "minimize": 0}
+    for module in (automata, languages):
+        for name in calls:
+            if hasattr(module, name):
+                def spy(*args, _name=name, _original=getattr(module, name)):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, spy)
+    cycsl_fsa(path_graph(5))
+    assert calls["cyc_perm"] == calls["concat"] == 0
+    assert calls["minimize"] <= 5  # one per vertex; the closure route made 48
+
+
 # -- L'_v ------------------------------------------------------------------------
 
 def test_lprime_immediate_pair(path4):
@@ -380,6 +417,26 @@ def _words_up_to(size, length):
     return [w for k in range(length + 1) for w in itertools.product(range(size), repeat=k)]
 
 
+def _rotation_factor_ends(g, alphabet, word):
+    # the pairs (f, l) with a factor f s l in some rotation of word, every
+    # letter of s commuting with l: the factors of rotations are the factors
+    # of word + word of length at most len(word)
+    n, doubled, ends = len(word), word + word, set()
+    for j in range(n, 2 * n):
+        v = alphabet.vertex(doubled[j])
+        for i in range(j - 1, j - n, -1):
+            ends.add((doubled[i], doubled[j]))
+            if not g.adjacent(alphabet.vertex(doubled[i]), v):
+                break
+    return ends
+
+
+def _forbidden(g, alphabet, f, l):
+    # shortlex forbids f s l for f = l^-1 (a cancelling pair) and for a lex
+    # threat, f > l on a vertex adjacent to l's
+    return f == l ^ 1 or f > l and g.adjacent(alphabet.vertex(f), alphabet.vertex(l))
+
+
 def test_constraint_automata_match_factor_definitions():
     for g in _graphs_up_to_three_vertices():
         alphabet = g.alphabet()
@@ -400,6 +457,29 @@ def test_constraint_automata_match_factor_definitions():
             for word in words:
                 avoids = not _has_factor(g, alphabet, word, b, a)
                 assert threat.accepts(word) == avoids, (g.vertices, a, b, word)
+
+
+def test_cyclic_checkers_match_factor_definitions():
+    for g in _graphs_up_to_three_vertices():
+        alphabet = g.alphabet()
+        words = _words_up_to(alphabet.size, 5)
+        ends = {word: [l for f, l in _rotation_factor_ends(g, alphabet, word)
+                       if _forbidden(g, alphabet, f, l)] for word in words}
+        for v in range(g.n_vertices):
+            checker = languages._cyc_avoid(g, alphabet, v)
+            for word in words:
+                avoids = all(alphabet.vertex(l) != v for l in ends[word])
+                assert checker.accepts(word) == avoids, (g.vertices, v, word)
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["P4", "C4"])
+def test_cycsl_matches_rotation_definition(g):
+    words = _words_up_to(g.alphabet().size, 5)
+    shortlex = {w for w in words if oracle.normal_form(g, w) == w}
+    automaton = cycsl_fsa(g)
+    for word in words:
+        every = all(word[k:] + word[:k] in shortlex for k in range(len(word)))
+        assert automaton.accepts(word) == every, word
 
 
 @pytest.mark.parametrize("g", [path_graph(4), path_graph(5), cycle_graph(5),
