@@ -7,7 +7,9 @@ all operations return fresh values.  ``intersect``, ``union``, ``concat`` and
 stay tractable; ``complement_lang`` only flips acceptance, which keeps a
 minimal automaton minimal.  ``_product`` collapses the pairs that hold a
 verdict-fixing sink into one constant state, so what is left for Hopcroft
-to merge is small, and returns the product unminimized.
+to merge is small, and returns the product unminimized.  ``_fold`` folds
+products and minimizes only when the fold has doubled, so its result need
+not be minimal either.
 
 Minimized automata are renumbered canonically (breadth-first from the initial
 state in letter order), so two automata accept the same language exactly when
@@ -24,6 +26,18 @@ equal to the automaton's.  On the n-state quotient the series is
 e adj(I - zB) v / det(I - zB) (transfer-matrix method): the denominator is the
 product of det(I - zB_C) over the strongly connected components C, and the
 numerator is read off the first n counts.
+
+Counting never needs a minimal automaton.  Lemma: on the trim part of a
+complete DFA, language-equivalent states agree on acceptance and move, letter
+by letter, to language-equivalent states.  So the Myhill-Nerode partition is
+lumpable for every colour below, and the coarsest lumpable partition, which
+contains every lumpable one, is at least as coarse.  A partition coarser than
+Myhill-Nerode is lumpable exactly when its image on the minimal automaton is,
+so the quotient of an unminimized DFA is isomorphic to the quotient of its
+minimization: the counts are the same, and ``RationalFunction.make`` returns
+the same reduced fraction.  The folds that are only counted (the
+conjugacy-geodesic and cyclically-shortlex folds of ``languages``) therefore
+reach ``growth_series`` and ``vertex_quotient`` without a Hopcroft run.
 
 The lumping works on coloured transitions: ``vertex_quotient`` gives each
 vertex's two letters their own colour and splits blocks by the multiset of
@@ -374,37 +388,52 @@ def cyc_perm(a: Dfa) -> Dfa:
     over the 437 pieces of the P4 conjugacy-geodesic acceptor a minimized one
     has 25.6 states on average, against 25.0 states that reach q.
 
-    The fold starts from the first piece, which is canonical, and goes on by
-    ``_product``.  It is minimized only once it has doubled since it was last
-    minimized, and at the end: most steps are minimal already, but not all,
-    and a fold never minimized blows up (7.9 GB on the 437 pieces of the P4
-    conjugacy-geodesic acceptor).
+    The pieces go into ``_fold`` from the first one, which is canonical, and
+    the fold is minimized at the end unless its last step did.
     """
     a = minimize(a)
     coreach = _coreachable(_row(a), a.n_states, a.accepting)
-    result = None
-    seen_pieces = set()
-    for q in range(a.n_states):
-        if q not in coreach:
-            continue  # Suffixes(a, q) is empty
-        suffixes = Dfa(a.alphabet, a.n_states, a.transitions, q, a.accepting)
-        prefixes = Dfa(a.alphabet, a.n_states, a.transitions, a.initial, {q})
-        piece = concat(suffixes, prefixes)
-        key = piece.encode()
-        if key in seen_pieces:
-            continue
-        seen_pieces.add(key)
-        if result is None:
-            result, minimal, bound = piece, True, 2 * piece.n_states
-            continue
-        result = _product(result, piece, or_)
+
+    def distinct_pieces():
+        seen = set()
+        for q in range(a.n_states):
+            if q not in coreach:
+                continue  # Suffixes(a, q) is empty
+            suffixes = Dfa(a.alphabet, a.n_states, a.transitions, q, a.accepting)
+            prefixes = Dfa(a.alphabet, a.n_states, a.transitions, a.initial, {q})
+            piece = concat(suffixes, prefixes)
+            key = piece.encode()
+            if key not in seen:
+                seen.add(key)
+                yield piece
+
+    pieces = distinct_pieces()
+    first = next(pieces, None)
+    if first is None:
+        return empty_language_dfa(a.alphabet)
+    result, minimal = _fold(first, pieces, or_)
+    return result if minimal else minimize(result)
+
+
+def _fold(result: Dfa, pieces, keep):
+    """Fold ``pieces`` into the minimal ``result`` by ``_product`` under ``keep``.
+
+    The fold is minimized only when it has more than doubled since it was
+    last minimized (``result`` counts as minimized).  Most steps of the
+    pipeline's folds are minimal already, so Hopcroft after every step is
+    wasted work, but a fold never minimized blows up: 7.9 GB on the 437
+    pieces of the P4 conjugacy-geodesic acceptor's closure, and 10,214 raw
+    states against 258 minimal for the cyclically-shortlex checkers of co-P8.
+    Returns the fold and whether its last step minimized it.
+    """
+    minimal, bound = True, 2 * result.n_states
+    for piece in pieces:
+        result = _product(result, piece, keep)
         minimal = result.n_states > bound
         if minimal:
             result = minimize(result)
             bound = 2 * result.n_states
-    if result is None:
-        return empty_language_dfa(a.alphabet)
-    return result if minimal else minimize(result)
+    return result, minimal
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ Given a defining graph, this module builds complete DFAs for:
 
 Each acceptor is one fold from a constant automaton, so the empty graph needs
 no branch: ``geo_fsa``, ``shortlex_fsa`` and ``cycsl_fsa`` intersect into
-X*, and ``conjgeo_fsa`` unions into the empty language.
+X*, and ``conjgeo_fsa`` unions into the empty language.  ``cycsl_fsa`` and
+``conjgeo_fsa`` minimize a private fold (``_cycsl_fold``, ``_conjgeo_fold``);
+the series routes count those folds as they are, since counting needs no
+minimal automaton (lemma in ``automata``).
 
 The conjugacy geodesics use the identity
 ``CycL = X* \\ CycPerm(X* \\ L)`` with the cyclic-permutation closure from
@@ -32,11 +35,11 @@ of the whole geodesic acceptor (hundreds of states).
 
 from __future__ import annotations
 
-from functools import reduce
 from operator import and_, or_
 
 from .automata import (
     Dfa,
+    _fold,
     _product,
     all_words_dfa,
     complement_lang,
@@ -212,12 +215,23 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     in f s' with s' commuting with l.  Neither f nor s' is l, so f s' ends u,
     and the rotation u p l holds the factor f s' p l.
 
-    So the language is the intersection of the ``_cyc_avoid(v)``, folded into
-    X* in vertex order (the reverse measured 7-80x slower on co-C8 and co-P8).
+    So the language is the intersection of the ``_cyc_avoid(v)``: the
+    minimized ``_cycsl_fold``.
+    """
+    return minimize(_cycsl_fold(g))
+
+
+def _cycsl_fold(g: SimpleGraph) -> Dfa:
+    """The ``_cyc_avoid(v)`` folded into X* in vertex order, not minimized at the end.
+
+    ``automata._fold`` minimizes only when the fold has doubled: minimizing
+    every step is wasted work on paths and cycles, and never minimizing blows
+    up on dense blocks.  The reverse vertex order measured 7-80x slower on
+    co-C8 and co-P8.  The result accepts the language of ``cycsl_fsa``.
     """
     alphabet = g.alphabet()
-    return reduce(intersect, (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices)),
-                  all_words_dfa(alphabet))
+    checkers = (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices))
+    return _fold(all_words_dfa(alphabet), checkers, and_)[0]
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
@@ -226,18 +240,26 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     The geodesics are the intersection of the per-vertex checkers L_v, so a
     word fails to be conjugacy geodesic exactly when some rotation of it is
     rejected by some checker: the non-conjugacy-geodesics are the union over
-    v of CycPerm(X* \\ L_v), since the closure distributes over union.  Each
-    closure runs on the complement of a minimal four-state checker, then the
-    n results are unioned and complemented.  The union folds reachable
-    products into the empty language and minimizes once: every step measured
-    already minimal.
+    v of CycPerm(X* \\ L_v), since the closure distributes over union: the
+    ``_conjgeo_fold``, minimized once and complemented.
+    """
+    return complement_lang(minimize(_conjgeo_fold(g)))
+
+
+def _conjgeo_fold(g: SimpleGraph) -> Dfa:
+    """The words that are not conjugacy geodesic, as an unminimized union fold.
+
+    Each closure runs on the complement of a minimal four-state checker, and
+    the n results are folded by reachable products into the empty language.
+    Every step measured already minimal, so the fold is never minimized; the
+    series route counts its complement as it is.
     """
     alphabet = g.alphabet()
     rejected = empty_language_dfa(alphabet)
     for v in range(g.n_vertices):
         closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
         rejected = _product(rejected, closed, or_)
-    return complement_lang(minimize(rejected))
+    return rejected
 
 
 def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
@@ -261,18 +283,20 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
 
     G_T counts the cyclically-shortlex words over the letters of T (G_empty =
     1, the empty word).  Cyclic shortlex restricts compatibly to letter
-    subsets, so every G_T is read off one ``cycsl_fsa`` of the subgraph on
+    subsets, so every G_T is read off one ``_cycsl_fold`` of the subgraph on
     ``vertices``, lumped once with one colour per vertex
-    (``automata.vertex_quotient``).  Mobius inversion on the subset lattice,
-    F_B = sum over T in B of (-1)^|B \\ T| G_T, runs for all B at once as the
-    fast subset transform (Yates; Bjorklund, Husfeldt, Kaski and Koivisto,
-    STOC 2007): the pass for vertex i subtracts f[mask without i] from f[mask]
-    for every mask holding i, k 2^(k-1) subtractions for k vertices.  Keys
-    are sorted vertex tuples, decomposable B included (the pipeline skips them).
+    (``automata.vertex_quotient``) and never minimized: the quotient of the
+    fold is that of ``cycsl_fsa`` (lemma in ``automata``).  Mobius inversion
+    on the subset lattice, F_B = sum over T in B of (-1)^|B \\ T| G_T, runs
+    for all B at once as the fast subset transform (Yates; Bjorklund,
+    Husfeldt, Kaski and Koivisto, STOC 2007): the pass for vertex i subtracts
+    f[mask without i] from f[mask] for every mask holding i, k 2^(k-1)
+    subtractions for k vertices.  Keys are sorted vertex tuples, decomposable
+    B included (the pipeline skips them).
     """
     vertices = sorted(set(vertices))
     k = len(vertices)
-    quotient = vertex_quotient(cycsl_fsa(g.induced_subgraph(vertices)))
+    quotient = vertex_quotient(_cycsl_fold(g.induced_subgraph(vertices)))
     table = [RationalFunction.make([1])] + [
         restricted_growth_series(quotient, [i for i in range(k) if mask >> i & 1])
         for mask in range(1, 1 << k)

@@ -9,7 +9,7 @@ where F_i is the growth series of the cyclically-shortlex words supported
 exactly on U_i.  Every indecomposable block lies inside one maximal block (a
 component of the whole graph's complement), and one table per maximal block
 (``languages.cycsl_support_table``) gives all their series at once: one
-cyclically-shortlex acceptor, lumped once with one colour per vertex, every
+cyclically-shortlex checker fold, lumped once with one colour per vertex, every
 letter restriction read off that quotient, and one fast Mobius transform over
 the subsets.  Each block is kept as its reduced fraction and the rho of its
 expansion, and the subset sum then only multiplies and adds truncated series.
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import growth_series
+from .automata import complement_lang, growth_series
 from .graphs import GraphError, SimpleGraph
 from .languages import (
-    conjgeo_fsa,
+    _conjgeo_fold,
     conjgeo_series_incl_excl,
     cycsl_support_table,
     geo_fsa,
@@ -107,12 +107,13 @@ def geodesic_series(g: SimpleGraph) -> RationalFunction:
 def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunction:
     """Conjugacy geodesic growth series.
 
-    ``direct`` builds the conjugacy geodesic automaton through the cyclic
-    closure; ``incl-excl`` evaluates the alternating sum over vertex subsets.
-    The two routes are independent and must agree.
+    ``direct`` counts the conjugacy geodesic automaton built through the
+    cyclic closure, the complement of ``languages._conjgeo_fold`` unminimized;
+    ``incl-excl`` evaluates the alternating sum over vertex subsets.  The two
+    routes are independent and must agree.
     """
     if method == "direct":
-        return growth_series(conjgeo_fsa(g))
+        return growth_series(complement_lang(_conjgeo_fold(g)))
     if method == "incl-excl":
         return conjgeo_series_incl_excl(g)
     raise ValueError(f"unknown method {method!r}; expected 'direct' or 'incl-excl'")

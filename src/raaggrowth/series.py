@@ -321,21 +321,29 @@ def rho(f: PowerSeries) -> PowerSeries:
     """Rotation-class counting transform.
 
     [z^n] rho(f) = (1/n) * sum_{k | n} phi(k) * [z^{n/k}] f, with the division
-    required to be exact.  The input must have zero constant term.
+    required to be exact (checked by increasing degree).  The input must have
+    zero constant term.  One totient sieve gives phi(1..n), and a pass over
+    multiples adds phi(k) f_j to the sum at k j: O(n log n) terms.
     """
     if f[0] != 0:
         raise ValueError("rho requires a series with zero constant term")
     n = f.max_degree
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:  # p is prime
+            for m in range(p, n + 1, p):
+                phi[m] -= phi[m] // p
+    totals = [0] * (n + 1)
+    for k in range(1, n + 1):
+        weight = phi[k]
+        for j, c in enumerate(f.coefficients[1:n // k + 1], 1):
+            totals[k * j] += weight * c
     out = [0] * (n + 1)
     for m in range(1, n + 1):
-        total = 0
-        for k in range(1, m + 1):
-            if m % k == 0:
-                total += euler_phi(k) * f[m // k]
-        q, r = divmod(total, m)
+        q, r = divmod(totals[m], m)
         if r:
             raise NonIntegralCoefficient(
-                f"rho coefficient at degree {m} is {total}/{m}, not an integer"
+                f"rho coefficient at degree {m} is {totals[m]}/{m}, not an integer"
             )
         out[m] = q
     return PowerSeries(tuple(out))

@@ -10,6 +10,8 @@
   in exact rational arithmetic.
 * ``rho_integral_form``: ``rho`` by integrating sum_k phi(k) f(t^k) / t term
   by term.
+* ``rho``: the coefficient formula as a divisor scan, with one trial-division
+  ``euler_phi`` per divisor.
 
 The tests compare ``series.poly_gcd``, ``series.poly_divide_exact``,
 ``series.neck`` and ``series.rho`` against them.
@@ -146,3 +148,27 @@ def rho_integral_form(f: PowerSeries) -> PowerSeries:
     if any(c.denominator != 1 for c in out):
         raise NonIntegralCoefficient("integral form produced non-integer coefficients")
     return PowerSeries(tuple(int(c) for c in out))
+
+
+def rho(f: PowerSeries) -> PowerSeries:
+    """[z^m] rho(f) = (1/m) sum_{k | m} phi(k) [z^{m/k}] f, scanning every k <= m.
+
+    Exactness is checked by increasing degree, so the first non-integral
+    coefficient is the one reported.
+    """
+    if f[0] != 0:
+        raise ValueError("rho requires a series with zero constant term")
+    n = f.max_degree
+    out = [0] * (n + 1)
+    for m in range(1, n + 1):
+        total = 0
+        for k in range(1, m + 1):
+            if m % k == 0:
+                total += euler_phi(k) * f[m // k]
+        q, r = divmod(total, m)
+        if r:
+            raise NonIntegralCoefficient(
+                f"rho coefficient at degree {m} is {total}/{m}, not an integer"
+            )
+        out[m] = q
+    return PowerSeries(tuple(out))

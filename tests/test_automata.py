@@ -373,6 +373,37 @@ def one_colour_quotient(d):
     return automata._lumped_quotient(automata._row(d), d.n_states, d.initial, d.accepting)
 
 
+@settings(max_examples=150, deadline=None)
+@given(random_dfas(max_states=5), random_dfas(max_states=5), st.sampled_from([and_, or_]))
+def test_unminimized_product_counts_as_its_minimization(a, b, keep):
+    # the lemma in the automata docstring: language-equivalent trim states
+    # move letter by letter to language-equivalent states, so the coarsest
+    # lumpable partition of the raw product is at least as coarse as
+    # Myhill-Nerode and its quotients are those of the minimal automaton
+    raw = automata._product(a, b, keep)
+    small = minimize(raw)
+    assert growth_series(raw) == growth_series(small)
+    raw_quotient, small_quotient = automata.vertex_quotient(raw), automata.vertex_quotient(small)
+    assert len(raw_quotient[0]) == len(small_quotient[0])
+    for part in ([], [0], [1], [0, 1]):
+        got = automata.restricted_growth_series(raw_quotient, part)
+        assert got == automata.restricted_growth_series(small_quotient, part), part
+        letters = [x for v in part for x in (2 * v, 2 * v + 1)]
+        assert got.expand(12).coefficients == restricted_counts(raw, letters, 12), part
+
+
+def restricted_counts(dfa, letters, max_len):
+    """Counts of the accepted words over ``letters``, by the count DP on all states."""
+    size = dfa.alphabet.size
+    vector = [int(q in dfa.accepting) for q in range(dfa.n_states)]
+    counts = [vector[dfa.initial]]
+    for _ in range(max_len):
+        vector = [sum(vector[dfa.transitions[q * size + x]] for x in letters)
+                  for q in range(dfa.n_states)]
+        counts.append(vector[dfa.initial])
+    return tuple(counts)
+
+
 @pytest.mark.parametrize("graph, size", [(path_graph(5), 72), (cycle_graph(6), 25)])
 def test_lumped_quotient_is_coarsest(graph, size):
     # the coarsest count-preserving quotient of the conjugacy-geodesic

@@ -26,7 +26,7 @@ from raaggrowth import (
     detect_part1_family,
     part1_crosscheck,
 )
-from raaggrowth import languages, pipeline
+from raaggrowth import automata, languages, pipeline
 from raaggrowth.languages import support_exact
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
@@ -289,19 +289,37 @@ def test_block_series_match_per_block_automata(g):
         assert languages.cycsl_support_series(g, largest) == want_blocks[largest]
 
 
+def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
+    # the union fold is counted unminimized: Hopcroft sees only the checkers,
+    # the closure pieces and the closure folds (at most 38 states on C6),
+    # never the 1,406-state union of the closures
+    sizes = []
+    real = automata.minimize
+
+    def spy(dfa):
+        sizes.append(dfa.n_states)
+        return real(dfa)
+
+    monkeypatch.setattr(automata, "minimize", spy)
+    monkeypatch.setattr(languages, "minimize", spy)
+    assert conj_geodesic_series(cycle_graph(6), "direct") == conj_geodesic_series(
+        cycle_graph(6), "incl-excl")
+    assert sizes and max(sizes) <= 64
+
+
 @pytest.mark.parametrize("g", [
     complete_graph(3),  # Z^3: three one-vertex maximal blocks
     SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]),  # Z x F2: {a} and {b, c}
 ])
 def test_one_closure_per_maximal_block(g, monkeypatch):
     closed = []
-    real = languages.cycsl_fsa
+    real = languages._cycsl_fold
 
     def recording(induced):
         closed.append(induced.vertices)
         return real(induced)
 
-    monkeypatch.setattr(languages, "cycsl_fsa", recording)
+    monkeypatch.setattr(languages, "_cycsl_fold", recording)
     spherical_conj_series(g, 6)
     maximal = [tuple(g.vertices[v] for v in block) for block in g.decompose(range(g.n_vertices))]
     assert len(maximal) > 1

@@ -250,6 +250,26 @@ def test_rho_matches_integral_form(coeffs):
     assert rho(f).coefficients == reference_series.rho_integral_form(f).coefficients
 
 
+def _rho_or_error(transform, f):
+    try:
+        return transform(f).coefficients
+    except NonIntegralCoefficient as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=40), st.sampled_from([1, 2, 6, 60]))
+def test_rho_sieve_matches_divisor_scan(coeffs, scale):
+    # the same coefficients, or the same non-integrality error at the same degree
+    f = PowerSeries.from_list([0] + [scale * c for c in coeffs])
+    assert _rho_or_error(rho, f) == _rho_or_error(reference_series.rho, f)
+
+
+def test_rho_sieve_matches_divisor_scan_at_degree_400():
+    f = rf([0, 3], [1, -3]).expand(400)  # ternary strings: rho counts ternary necklaces
+    assert rho(f).coefficients == reference_series.rho(f).coefficients
+
+
 def test_neck_zero():
     assert neck(PowerSeries((0,) * 7)).coefficients == (0,) * 7
 
