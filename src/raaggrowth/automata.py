@@ -22,10 +22,11 @@ size: counts are computed with Python big ints, and every returned fraction is
 coarsest count-preserving quotient B (forward bisimulation: states are merged
 while they agree on acceptance and on the multiset of blocks they move to);
 stability of that partition, A P = P B, makes the quotient's count sequence
-equal to the automaton's.  On the n-state quotient the series is
-e adj(I - zB) v / det(I - zB) (transfer-matrix method): the denominator is the
-product of det(I - zB_C) over the strongly connected components C, and the
-numerator is read off the first n counts.
+equal to the automaton's.  On the n-state quotient the first exact linear
+dependency among the vectors v, Bv, B^2 v, ... (the annihilator of the
+accept vector v, found by fraction-free elimination) is a recurrence of the
+counts; it gives the denominator, of degree m <= n, and the numerator is
+read off the first m counts.
 
 Counting never needs a minimal automaton.  Lemma: on the trim part of a
 complete DFA, language-equivalent states agree on acceptance and move, letter
@@ -44,15 +45,16 @@ vertex's two letters their own colour and splits blocks by the multiset of
 successor blocks under each colour separately.  The partition is then stable
 for every colour, A_v P = P B_v, so for every sum of colours, and one quotient
 per automaton serves all its letter restrictions: ``restricted_growth_series``
-sums the colours of a vertex subset, lumps that again and certifies it.
+sums the colours of a vertex subset and certifies that, without lumping again.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import and_, or_
 
 from .graphs import OrderedAlphabet
-from .series import InvariantError, RationalFunction, poly_mul, poly_trim
+from .series import RationalFunction
 
 
 class AlphabetMismatch(ValueError):
@@ -517,103 +519,71 @@ def restricted_growth_series(quotient, vertices) -> RationalFunction:
     """Growth series of the accepted words over the letters of ``vertices``.
 
     ``quotient`` is a ``vertex_quotient``.  The sum of the colours of
-    ``vertices`` counts the words over their letters, and it is trimmed and
-    lumped again as one colour before the certificate.
+    ``vertices`` counts the words over their letters.  It is cut down to the
+    blocks it reaches from the initial one and certified as one colour,
+    without lumping it again.  Blocks that reach no accepting block stay:
+    they are zero in every vector of the certificate.
     """
     rows, initial, accepting = quotient
     merged = [[t for v in vertices for t in row[v]] for row in rows]
-    return _certify(_lumped_quotient(merged.__getitem__, len(merged), initial, accepting))
+    reached = sorted(_reachable(merged.__getitem__, (initial,)))
+    index = {q: i for i, q in enumerate(reached)}
+    return _certify(([[[index[t] for t in merged[q]]] for q in reached],
+                     index[initial], {index[q] for q in reached if q in accepting}))
 
 
 def _certify(quotient) -> RationalFunction:
-    """The growth series of a quotient from ``_lumped_quotient``, proved.
+    """The growth series of a quotient shaped as ``_lumped_quotient`` returns it, proved.
 
-    The trim automaton's count of length m is e A^m v, with A its transition
-    matrix and e, v the indicators of its initial and accepting states.  With
-    B the quotient's matrix (colours summed) and e', v' its indicators,
-    A P = P B and v = P v' give e A^m v = e' B^m v', so F = e' (I - zB)^{-1} v'.
+    Its count of length k is a_k = e B^k v, with B its matrix (colours
+    summed, targets with multiplicity) and e, v the indicators of its initial
+    and accepting blocks.  For a quotient of an automaton with matrix A,
+    A P = P B and the accepting indicator P v give the automaton's counts.
 
-    The fraction is proved by the transfer-matrix method (Stanley, EC1 Thm
-    4.7.2) on the n-state quotient:
+    The fraction is proved by the annihilator of v (Berstel and Reutenauer,
+    Noncommutative Rational Series with Applications, ch. 1):
 
-    1. (I - zB)^{-1} = adj(I - zB) / Q with Q = det(I - zB), and Q(0) = 1.
-    2. Each entry of adj(I - zB) is a minor of order n - 1 of a matrix of
-       polynomials of degree <= 1, so Q F = e' adj(I - zB) v' has degree <= n - 1.
-    3. Ordered by strongly connected component, I - zB is block triangular,
-       so Q is the product of det(I - zB_C) over the components C.
-    4. Hence the polynomial Q F is Q times the series of counts truncated at
-       degree n - 1, which reads only the first n counts.
+    1. The Krylov vectors w_0 = v, w_{k+1} = B w_k are taken in turn.  Each
+       is reduced against an echelon basis of the earlier ones, fraction-free:
+       against a basis vector r' with pivot p, r becomes r'[p] r - r[p] r',
+       which is zero at p and still zero at the pivots before.  Each remainder
+       carries the integer combination c of w_0..w_k that it equals, and both
+       are divided by their common gcd.
+    2. Every step multiplies the coefficient of w_k by a nonzero pivot, and
+       the basis holds only earlier vectors, so the first zero remainder gives
+       sum_{i <= m} c_i w_i = 0 with c_m != 0.  The w_0..w_{m-1} before it are
+       independent in Q^n, so m <= n on n blocks.
+    3. For every k, sum_i c_i a_{k+i} = e B^k (sum_i c_i w_i) = 0.
+    4. So with D(z) = sum_i c_i z^(m-i), D(0) = c_m, the coefficient of z^N
+       in D F is sum_i c_i a_{N-m+i} = 0 for N >= m: D F is a polynomial of
+       degree < m, read off a_0..a_{m-1}.
 
-    ``RationalFunction.make`` reduces the fraction; no further check is needed.
+    An empty accept set gives m = 0 and 0/1.  ``RationalFunction.make``
+    reduces the fraction; no further check is needed.
     """
     rows, initial, accepting = quotient
     rows = [[t for part in row for t in part] for row in rows]
-    n = len(rows)
-    denominator = [1]
-    determinants = {}  # row structure -> det(I - zB_C); components repeat
-    for states in _components(rows):
-        local = {q: i for i, q in enumerate(states)}
-        inner = tuple(tuple(sorted(local[t] for t in rows[q] if t in local)) for q in states)
-        if any(inner):
-            if inner not in determinants:
-                determinants[inner] = _det_one_minus_z(inner)
-            denominator = poly_mul(denominator, determinants[inner])
-    vector = [1 if q in accepting else 0 for q in range(n)]
-    counts = [vector[initial]]
-    for _ in range(n - 1):
-        vector = [sum(map(vector.__getitem__, row)) for row in rows]
+    vector = [1 if q in accepting else 0 for q in range(len(rows))]
+    counts = []
+    basis = []  # (pivot, r, c): r = sum_i c_i w_i, zero at every earlier pivot
+    while True:
+        m = len(counts)
+        r, c = vector, [0] * m + [1]
+        for pivot, rb, cb in basis:
+            x = r[pivot]
+            if x:
+                y = rb[pivot]
+                r = [y * a - x * b for a, b in zip(r, rb)]
+                c = [y * a - x * b for a, b in zip(c, cb)] + [y * a for a in c[len(cb):]]
+        if not any(r):
+            break
+        g = gcd(*r, *c)
+        if g > 1:
+            r = [a // g for a in r]
+            c = [a // g for a in c]
+        basis.append((next(q for q, a in enumerate(r) if a), r, c))
         counts.append(vector[initial])
-    numerator = [
-        sum(denominator[i] * counts[m - i] for i in range(min(m, len(denominator) - 1) + 1))
-        for m in range(n)
-    ]
+        vector = [sum(map(vector.__getitem__, row)) for row in rows]
+    denominator = c[::-1]
+    numerator = [sum(denominator[i] * counts[k - i] for i in range(k + 1)) for k in range(m)]
     return RationalFunction.make(numerator, denominator)
-
-
-def _components(rows):
-    """Strongly connected components of the graph ``rows`` (targets per state).
-
-    ``reach[q]`` is the bitmask of states q reaches, itself included, iterated
-    to a fixpoint.  States p and q share a component exactly when they reach
-    the same set: each lies in the set of the other.
-    """
-    reach = [1 << q for q in range(len(rows))]
-    changed = True
-    while changed:
-        changed = False
-        for q, row in enumerate(rows):
-            mask = reach[q]
-            for t in row:
-                mask |= reach[t]
-            if mask != reach[q]:
-                reach[q] = mask
-                changed = True
-    components = {}
-    for q, mask in enumerate(reach):
-        components.setdefault(mask, []).append(q)
-    return components.values()
-
-
-def _det_one_minus_z(rows) -> tuple:
-    """det(I - zA) by Faddeev-LeVerrier over the integers.
-
-    ``rows[i]`` lists the column of every unit entry of row i of A (repeated
-    for multiplicity).  With M_1 = I, the characteristic polynomial
-    sum_k c_k x^k of A has c_{n-k} = -tr(A M_k)/k and M_{k+1} = A M_k +
-    c_{n-k} I; then det(I - zA) = sum_k c_{n-k} z^k.
-    """
-    n = len(rows)
-    coefficients = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [[sum(column) for column in zip(*[m[j] for j in row])] if row else [0] * n
-              for row in rows]
-        trace = sum(am[i][i] for i in range(n))
-        if trace % k:
-            raise InvariantError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
-        c = -(trace // k)
-        coefficients.append(c)
-        for i in range(n):
-            am[i][i] += c
-        m = am
-    return tuple(poly_trim(coefficients))

@@ -293,6 +293,15 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     f[mask without i] from f[mask] for every mask holding i, k 2^(k-1)
     subtractions for k vertices.  Keys are sorted vertex tuples, decomposable
     B included (the pipeline skips them).
+
+    Lemma: F_B = 0 for decomposable B.  Let B be the join of B_1 and B_2,
+    and w a word with support B whose rotations are all shortlex.  Around
+    the cyclic word, runs of B_1 letters alternate with runs of B_2 letters,
+    r_1 s_1 ... r_k s_k with k >= 1.  The rotation that starts with a run is
+    shortlex, and the first letter of the next run commutes with the whole
+    run, so it could move to the front: the run must begin with a smaller
+    letter.  For the first letters a_j of r_j and b_j of s_j that gives
+    a_1 < b_1 < a_2 < ... < b_k < a_1, a contradiction.
     """
     vertices = sorted(set(vertices))
     k = len(vertices)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -50,14 +52,16 @@ def z_star_zn(n):
     return SimpleGraph.make(labels, [[f"b{i}", f"b{j}"] for i in range(n) for j in range(i + 1, n)])
 
 
+def labelled_graphs(labels):
+    """Every graph on the labelled vertices ``labels``, in order of edge mask."""
+    pairs = list(itertools.combinations(labels, 2))
+    return [SimpleGraph.make(list(labels), [list(p) for i, p in enumerate(pairs) if mask >> i & 1])
+            for mask in range(1 << len(pairs))]
+
+
 def all_three_vertex_graphs():
     """All 8 graphs on labeled vertices x, y, z."""
-    pairs = [("x", "y"), ("x", "z"), ("y", "z")]
-    graphs = []
-    for mask in range(8):
-        edges = [list(pairs[i]) for i in range(3) if mask >> i & 1]
-        graphs.append(SimpleGraph.make(["x", "y", "z"], edges))
-    return graphs
+    return labelled_graphs(["x", "y", "z"])
 
 
 def path_graph(n):

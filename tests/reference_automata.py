@@ -22,13 +22,18 @@
   from ``transfer_matrix_series`` on that unlumped automaton.
 * ``transfer_matrix_series``: a denominator and a numerator-degree bound
   proved component by component (Tarjan's algorithm orders the components
-  sinks first), with factor maps max-merged along the way.  The library
-  proves its fraction in one step on the whole lumped quotient instead.
+  sinks first), with factor maps max-merged along the way, and each
+  component's det(I - zA_C) by Faddeev-LeVerrier (``det_one_minus_z``).
+  ``certify`` runs it on a lumped quotient.  The library proves its
+  fraction by the Krylov annihilator of the accept vector instead, and
+  shares no code with this certificate; ``krylov_dimension`` is the number
+  of counts that certificate must read, by Gaussian elimination over Q.
 
 The tests compare ``automata.minimize``, ``automata.concat``,
-``automata.cyc_perm``, ``automata.count_words``, ``automata.growth_series`` and
-``automata.restricted_growth_series`` against them.  ``words_up_to`` lists
-the accepted words of an automaton by length, for brute-force comparisons.
+``automata.cyc_perm``, ``automata.count_words``, ``automata.growth_series``,
+``automata.restricted_growth_series`` and ``automata._certify`` against
+them.  ``words_up_to`` lists the accepted words of an automaton by length,
+for brute-force comparisons.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from math import gcd
 from raaggrowth import automata
 from raaggrowth.automata import Dfa
 from raaggrowth.graphs import OrderedAlphabet
-from raaggrowth.series import InvariantError, RationalFunction, poly_mul
+from raaggrowth.series import InvariantError, RationalFunction, poly_mul, poly_trim
 
 
 def restrict_reachable(dfa: Dfa) -> Dfa:
@@ -270,7 +275,27 @@ def count_words(dfa: Dfa, max_degree: int) -> tuple:
     return tuple(counts)
 
 
-class TrimmedCounting:
+class Counting:
+    """Count DP e A^k v: ``outgoing[q]`` lists the targets of q with multiplicity."""
+
+    def __init__(self, outgoing, initial: int, v0):
+        self.n = len(outgoing)
+        self.outgoing = outgoing
+        self.initial = initial
+        self.v0 = list(v0)
+        self.vector = list(self.v0)
+        self.counts = [self.vector[self.initial]]
+
+    def step_vector(self, y):
+        return [sum(map(y.__getitem__, row)) for row in self.outgoing]
+
+    def extend_to(self, k: int):
+        while len(self.counts) <= k:
+            self.vector = self.step_vector(self.vector)
+            self.counts.append(self.vector[self.initial])
+
+
+class TrimmedCounting(Counting):
     """Count DP on the trim part (reachable and co-reachable) of a DFA, unlumped."""
 
     def __init__(self, dfa: Dfa):
@@ -290,25 +315,14 @@ class TrimmedCounting:
         if self.empty:
             return
         index = {q: i for i, q in enumerate(trim)}
-        self.n = len(trim)
-        self.outgoing = []
+        outgoing = []
         for q in trim:
             base = q * size
-            self.outgoing.append(
+            outgoing.append(
                 [index[t] for x in range(size) if (t := dfa.transitions[base + x]) in index]
             )
-        self.initial = index[dfa.initial]
-        self.v0 = [1 if q in dfa.accepting else 0 for q in trim]
-        self.vector = list(self.v0)
-        self.counts = [self.vector[self.initial]]
-
-    def step_vector(self, y):
-        return [sum(map(y.__getitem__, row)) for row in self.outgoing]
-
-    def extend_to(self, k: int):
-        while len(self.counts) <= k:
-            self.vector = self.step_vector(self.vector)
-            self.counts.append(self.vector[self.initial])
+        super().__init__(outgoing, index[dfa.initial],
+                         [1 if q in dfa.accepting else 0 for q in trim])
 
 
 def berlekamp_massey(sequence):
@@ -453,7 +467,7 @@ def transfer_matrix_series(work: TrimmedCounting) -> RationalFunction:
             inner = max(inner, 1 + bounds[s] + degree_out - degrees[s])
         bounds.append(len(states) - 1 + inner)
         if any(rows):
-            det = automata._det_one_minus_z(rows)
+            det = det_one_minus_z(rows)
             merged[det] = merged.get(det, 0) + 1
             degree_out += len(det) - 1
         factors.append(merged)
@@ -467,6 +481,59 @@ def transfer_matrix_series(work: TrimmedCounting) -> RationalFunction:
     work.extend_to(bounds[top])
     return RationalFunction.make(truncated_product(denominator, work.counts, bounds[top]),
                                  denominator)
+
+
+def certify(quotient) -> RationalFunction:
+    """``transfer_matrix_series`` on a quotient shaped as ``automata._certify`` takes it."""
+    rows, initial, accepting = quotient
+    outgoing = [[t for part in row for t in part] for row in rows]
+    return transfer_matrix_series(
+        Counting(outgoing, initial, [1 if q in accepting else 0 for q in range(len(rows))]))
+
+
+def krylov_dimension(quotient) -> int:
+    """Rank over Q of v, Bv, ..., B^n v for a quotient shaped as ``certify`` takes it."""
+    rows, _, accepting = quotient
+    outgoing = [[t for part in row for t in part] for row in rows]
+    matrix = [[Fraction(int(q in accepting)) for q in range(len(rows))]]
+    for _ in rows:
+        matrix.append([sum(matrix[-1][t] for t in row) for row in outgoing])
+    rank = 0
+    for column in range(len(rows)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][column]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for i in range(rank + 1, len(matrix)):
+            factor = matrix[i][column] / matrix[rank][column]
+            matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def det_one_minus_z(rows) -> tuple:
+    """det(I - zA) by Faddeev-LeVerrier over the integers.
+
+    ``rows[i]`` lists the column of every unit entry of row i of A (repeated
+    for multiplicity).  With M_1 = I, the characteristic polynomial
+    sum_k c_k x^k of A has c_{n-k} = -tr(A M_k)/k and M_{k+1} = A M_k +
+    c_{n-k} I; then det(I - zA) = sum_k c_{n-k} z^k.
+    """
+    n = len(rows)
+    coefficients = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(column) for column in zip(*[m[j] for j in row])] if row else [0] * n
+              for row in rows]
+        trace = sum(am[i][i] for i in range(n))
+        if trace % k:
+            raise InvariantError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
+        c = -(trace // k)
+        coefficients.append(c)
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return tuple(poly_trim(coefficients))
 
 
 def strongly_connected_components(outgoing):

@@ -353,7 +353,7 @@ def test_growth_series_expansion_matches_counts(d):
 @settings(max_examples=60, deadline=None)
 @given(random_dfas(max_states=8))
 def test_transfer_matrix_series_matches_counts(d):
-    # 40 terms: far past the n counts of the quotient that the numerator reads
+    # 40 terms: far past the m <= n counts of the quotient that the numerator reads
     assert growth_series(d).expand(40).coefficients == reference_automata.count_words(d, 40)
 
 
@@ -439,25 +439,71 @@ def test_restricted_growth_series_matches_letter_map(graph):
 
 
 def test_transfer_matrix_series_repeated_component():
-    # a* A a* A a*: three components with the same determinant 1-z in a chain;
-    # the denominator is the product over all components, so it holds (1-z)^3
+    # a* A a* A a*: three loops in a chain, each with the factor 1-z; the
+    # accept vector spans all three blocks, so the denominator is (1-z)^3
     d = Dfa(A1, 4, [0, 1, 1, 2, 2, 3, 3, 3], 0, {2})
     rf = growth_series(d)
     assert (rf.num, rf.den) == ((0, 0, 1), (1, -3, 3, -1))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.lists(
-    st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)))
-def test_components_match_tarjan(rows):
-    assert sorted(map(list, automata._components(rows))) == \
-        sorted(reference_automata.strongly_connected_components(rows))
-
-
 def test_det_one_minus_z_small_components():
-    assert automata._det_one_minus_z(((0, 0),)) == (1, -2)         # loop of multiplicity 2
-    assert automata._det_one_minus_z(((1,), (0,))) == (1, 0, -1)   # 2-cycle
-    assert automata._det_one_minus_z(((0, 1), (0,))) == (1, -1, -1)  # Fibonacci
+    assert reference_automata.det_one_minus_z(((0, 0),)) == (1, -2)         # loop of multiplicity 2
+    assert reference_automata.det_one_minus_z(((1,), (0,))) == (1, 0, -1)   # 2-cycle
+    assert reference_automata.det_one_minus_z(((0, 1), (0,))) == (1, -1, -1)  # Fibonacci
+
+
+@st.composite
+def quotients(draw, max_states=8):
+    """Quotient-shaped input of ``_certify``: coloured rows with multiplicity,
+    a random initial block and an accept set that may be empty."""
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, 3))
+    target = st.lists(st.integers(0, n - 1), max_size=3)
+    rows = [[draw(target) for _ in range(k)] for _ in range(n)]
+    accepting = {q for q in range(n) if draw(st.booleans())}
+    return rows, draw(st.integers(0, n - 1)), accepting
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotients())
+@example(([[[]]], 0, set()))                                   # empty accept set: m = 0
+@example(([[[0]], [[1]]], 0, {1}))                              # unreachable loop
+@example(([[[0, 0], [1]], [[1, 0], []], [[2, 2, 2]]], 1, {0, 2}))
+def test_certify_matches_transfer_matrix(quotient):
+    # the same reduced fraction as the transfer-matrix certificate, from
+    # exactly as many counts as the Krylov space of the accept vector has
+    # dimensions: an echelon basis that misses a reduction overshoots it
+    fractions = []
+    make = RationalFunction.make
+
+    def spy(num, den=(1,)):
+        fractions.append((num, den))
+        return make(num, den)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RationalFunction, "make", staticmethod(spy))
+        got = automata._certify(quotient)
+    want = reference_automata.certify(quotient)
+    assert (got.num, got.den) == (want.num, want.den)
+    (numerator, denominator), = fractions
+    assert len(numerator) == len(denominator) - 1 == reference_automata.krylov_dimension(quotient)
+
+
+def test_certify_chain_of_loops():
+    # the quotient of a* A a* A a*: three blocks with a loop each in a chain,
+    # so the accept vector spans all three and the denominator is (1-z)^3
+    rf = automata._certify(([[[0, 1]], [[1, 2]], [[2]]], 0, {2}))
+    assert (rf.num, rf.den) == ((0, 0, 1), (1, -3, 3, -1))
+
+
+def test_certify_chain_into_loop():
+    # 0 -> 1 -> 2 -> 2, accepting {2}: the Krylov vectors are e_2, e_1 + e_2,
+    # e_0 + e_1 + e_2 and then w_3 = w_2, so c = (0, 0, -1, 1) with c_0 = 0.
+    # D = sum c_i z^(3-i) = 1 - z has degree 1 < m = 3, and F = z^2/(1-z);
+    # the unreversed z^3 - z^2 vanishes at 0 and would give another fraction
+    rf = automata._certify(([[[1]], [[2]], [[2]]], 0, {2}))
+    assert (rf.num, rf.den) == ((0, 0, 1), (1, -1))
+    assert rf.expand(6).coefficients == (0, 0, 1, 1, 1, 1, 1)
 
 
 def test_growth_series_reduces_factor_cancelled_at_initial_state():

@@ -5,7 +5,9 @@ from hypothesis import HealthCheck, example, given, settings
 
 import reference_automata
 import reference_languages
-from conftest import all_three_vertex_graphs, complete_graph, cycle_graph, path_graph, small_graphs
+from conftest import (
+    all_three_vertex_graphs, complete_graph, cycle_graph, labelled_graphs, path_graph, small_graphs,
+)
 from raaggrowth import (
     SimpleGraph,
     GraphError,
@@ -238,6 +240,18 @@ def test_support_table_matches_sequential_sums(g):
                 want = reference_languages.cycsl_support_series(g, block, closures)
                 assert got == want, block
                 assert cycsl_support_series(g, block) == want, block
+
+
+def test_support_table_vanishes_on_decomposable_blocks():
+    # the lemma in the cycsl_support_table docstring, on which the pipeline
+    # skips the decomposable blocks of every table
+    graphs = [g for n in range(1, 5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    graphs += [path_graph(5), path_graph(6), cycle_graph(5), cycle_graph(6)]
+    for g in graphs:
+        table = languages.cycsl_support_table(g, range(g.n_vertices))
+        for block, got in table.items():
+            if not g.is_indecomposable(block):
+                assert got == rf([0]), (g.vertices, g.edges, block)
 
 
 # -- conjugacy geodesics ---------------------------------------------------------
