@@ -28,6 +28,18 @@ accept vector v, found by fraction-free elimination) is a recurrence of the
 counts; it gives the denominator, of degree m <= n, and the numerator is
 read off the first m counts.
 
+The lumping refines the raw rows of every state, with no trimming pass, and
+then cuts the quotient to its trim blocks.  Lemma: that is the trim part's
+coarsest quotient.  A signature depends only on successors, so on the
+reachable states the refinement is that of the reachable part alone.  Every
+state moves once per letter, so the dead states, which move only to dead
+states, share every signature and one block, and at the fixed point that
+block holds no live state (a block's states have equal counts).  A live
+state moves to it once per letter of a colour not leading to a live state,
+a number fixed by its live moves.  So the fixed point is stable on the trim
+states, and the trim part's coarsest partition plus the dead block is stable
+on the reachable ones: each is at least as coarse as the other.
+
 Counting never needs a minimal automaton.  Lemma: on the trim part of a
 complete DFA, language-equivalent states agree on acceptance and move, letter
 by letter, to language-equivalent states.  So the Myhill-Nerode partition is
@@ -46,6 +58,15 @@ successor blocks under each colour separately.  The partition is then stable
 for every colour, A_v P = P B_v, so for every sum of colours, and one quotient
 per automaton serves all its letter restrictions: ``restricted_growth_series``
 sums the colours of a vertex subset and certifies that, without lumping again.
+
+A signed sum of growth series, sum_i s_i F_i with F_i that of the DFA A_i,
+takes one certificate too (``_signed_growth_series``).  Lemma: the disjoint
+union of the A_i, with matrix A = diag(A_i), accept vector v and start
+vector e = sum_i s_i e_i (e_i the indicator of A_i's initial state), counts
+e A^k v = sum_i s_i [z^k] F_i.  Stability A P = P B does not depend on e,
+so the union lumps like any automaton, with start weights e P.  The
+annihilator of the quotient's accept vector v', sum_i c_i B^i v' = 0, gives
+sum_i c_i e P B^(k+i) v' = 0 for every e, so it proves the whole sum.
 """
 
 from __future__ import annotations
@@ -450,40 +471,42 @@ def count_words(dfa: Dfa, max_degree: int) -> tuple:
     return growth_series(dfa).expand(max_degree).coefficients
 
 
-def _lumped_quotient(row, n: int, initial: int, accepting, colours=(slice(None),)):
+def _lumped_quotient(row, n: int, starts, accepting, colours=(slice(None),)):
     """The coarsest count-preserving quotient of a coloured automaton's trim part.
 
     ``row(q)`` lists the targets of state q in 0..n-1 with multiplicity, and
-    ``row(q)[colours[c]]`` those under colour c (one colour by default).  The
-    reachable and co-reachable states are lumped: from accepting versus
-    rejecting, a block is split by the multiset of blocks its states move to
-    under each colour, until no block splits.  With P the 0/1 matrix sending
-    each of these states to its block, and A_c, B_c the matrices of colour c
-    before and after, that stability is A_c P = P B_c for every c (forward
-    bisimulation of the automaton read as a weighted one, Buchholz, TCS 2008).
-    Summed over a set T of colours, (sum_T A_c) P = P (sum_T B_c): one
-    quotient serves every restriction to a set of colours, which one multiset
-    over all colours would not.
+    ``row(q)[colours[c]]`` those under colour c (one colour by default);
+    ``starts`` maps states to integer start weights.  All n states are
+    lumped as they are: from accepting versus rejecting, a block is split by
+    the multiset of blocks its states move to under each colour, until no
+    block splits.  With P the 0/1 matrix sending each state to its block, and
+    A_c, B_c the matrices of colour c before and after, that stability is
+    A_c P = P B_c for every c (forward bisimulation of the automaton read as
+    a weighted one, Buchholz, TCS 2008).  Summed over a set T of colours,
+    (sum_T A_c) P = P (sum_T B_c): one quotient serves every restriction to a
+    set of colours, which one multiset over all colours would not.
 
-    Returns ``(rows, initial, accepting)`` of the quotient: ``rows[b][c]`` maps
-    the targets under colour c of block b's first state to blocks.  The
-    initial state is kept even when it is dead, so an empty trim part gives
-    one rejecting block without moves.
+    The quotient is then cut to the blocks reachable from a block of nonzero
+    summed start weight and co-reachable to an accepting block; when every
+    state moves the same number of times under each colour, that is the
+    coarsest quotient of the trim part (lemma in the module docstring).
+    Returns ``(rows, starts, accepting)`` of the cut quotient: ``rows[b][c]``
+    maps the targets under colour c of block b's first state to blocks, and
+    ``starts`` maps blocks to their summed start weights.  A dead start gives
+    the quotient with no blocks.
     """
-    trim = sorted((_reachable(row, (initial,)) & _coreachable(row, n, accepting)) | {initial})
-    index = {q: i for i, q in enumerate(trim)}
-    k, m = len(colours), len(trim)
-    # a move under colour c to trim state i is stored as c * m + i and tagged
-    # block * k + c: one sorted tuple of tags holds every colour's multiset
-    outgoing = [[c * m + index[t] for c, s in enumerate(colours) for t in row(q)[s] if t in index]
-                for q in trim]
-    vector = [1 if q in accepting else 0 for q in trim]
+    k = len(colours)
+    # a move under colour c to state t is stored as c * n + t and tagged
+    # block * k + c: one sorted tuple of tags holds every colour's multiset.
+    # One colour needs neither: its moves are the rows and its tags the blocks
+    outgoing = ([row(q)[colours[0]] for q in range(n)] if k == 1 else
+                [[c * n + t for c, s in enumerate(colours) for t in row(q)[s]] for q in range(n)])
 
     # each pass splits the previous blocks and numbers the new ones by their
     # first state, so the quotient is canonical
-    block, count = vector, 0
+    block, count = [1 if q in accepting else 0 for q in range(n)], 0
     while True:
-        tags = [b * k + c for c in range(k) for b in block]
+        tags = block if k == 1 else [b * k + c for c in range(k) for b in block]
         signatures = {}
         block = [
             signatures.setdefault((block[q], tuple(sorted(map(tags.__getitem__, moves)))),
@@ -493,10 +516,22 @@ def _lumped_quotient(row, n: int, initial: int, accepting, colours=(slice(None),
         if len(signatures) == count:
             break
         count = len(signatures)
-    first = [block.index(b) for b in range(count)]  # the first state of each block
-    quotient = [[[block[x % m] for x in outgoing[q] if x // m == c] for c in range(k)]
-                for q in first]
-    return quotient, block[index[initial]], {b for b, q in enumerate(first) if vector[q]}
+    first = []  # the first state of each block, in block order
+    for q, b in enumerate(block):
+        if b == len(first):
+            first.append(q)
+    rows = [[[block[t] for t in row(q)[s]] for s in colours] for q in first]
+    weights = {}
+    for q, w in starts.items():
+        weights[block[q]] = weights.get(block[q], 0) + w
+    final = [b for b, q in enumerate(first) if q in accepting]
+    flat = [[t for part in moves for t in part] for moves in rows]
+    kept = sorted(_reachable(flat.__getitem__, [b for b, w in weights.items() if w])
+                  & _coreachable(flat.__getitem__, count, final))
+    index = {b: i for i, b in enumerate(kept)}
+    return ([[[index[t] for t in part if t in index] for part in rows[b]] for b in kept],
+            {index[b]: w for b, w in weights.items() if w and b in index},
+            {index[b] for b in final if b in index})
 
 
 def growth_series(dfa: Dfa) -> RationalFunction:
@@ -506,13 +541,32 @@ def growth_series(dfa: Dfa) -> RationalFunction:
     lumped as one colour by ``_lumped_quotient``, and ``_certify`` proves the
     fraction on the quotient.
     """
-    return _certify(_lumped_quotient(_row(dfa), dfa.n_states, dfa.initial, dfa.accepting))
+    return _certify(_lumped_quotient(_row(dfa), dfa.n_states, {dfa.initial: 1}, dfa.accepting))
+
+
+def _signed_growth_series(terms) -> RationalFunction:
+    """Sum of sign * ``growth_series(dfa)`` over the (sign, dfa) pairs of ``terms``.
+
+    Each DFA is lumped as it arrives, with its sign as the weight of its
+    initial state, so only the term quotients outlive the iteration.  Their
+    disjoint union is lumped again, a lumping of the union of the DFAs, and
+    certified once (lemma in the module docstring).
+    """
+    rows, starts, accepting = [], {}, set()
+    for sign, dfa in terms:
+        term_rows, term_starts, term_accepting = _lumped_quotient(
+            _row(dfa), dfa.n_states, {dfa.initial: sign}, dfa.accepting)
+        offset = len(rows)
+        rows += [[t + offset for t in targets] for (targets,) in term_rows]
+        starts.update((b + offset, w) for b, w in term_starts.items())
+        accepting.update(b + offset for b in term_accepting)
+    return _certify(_lumped_quotient(rows.__getitem__, len(rows), starts, accepting))
 
 
 def vertex_quotient(dfa: Dfa):
     """The ``_lumped_quotient`` of ``dfa`` with one colour per vertex v: letters 2v and 2v + 1."""
     colours = [slice(x, x + 2) for x in range(0, dfa.alphabet.size, 2)]
-    return _lumped_quotient(_row(dfa), dfa.n_states, dfa.initial, dfa.accepting, colours)
+    return _lumped_quotient(_row(dfa), dfa.n_states, {dfa.initial: 1}, dfa.accepting, colours)
 
 
 def restricted_growth_series(quotient, vertices) -> RationalFunction:
@@ -520,25 +574,27 @@ def restricted_growth_series(quotient, vertices) -> RationalFunction:
 
     ``quotient`` is a ``vertex_quotient``.  The sum of the colours of
     ``vertices`` counts the words over their letters.  It is cut down to the
-    blocks it reaches from the initial one and certified as one colour,
+    blocks it reaches from the start blocks and certified as one colour,
     without lumping it again.  Blocks that reach no accepting block stay:
     they are zero in every vector of the certificate.
     """
-    rows, initial, accepting = quotient
+    rows, starts, accepting = quotient
     merged = [[t for v in vertices for t in row[v]] for row in rows]
-    reached = sorted(_reachable(merged.__getitem__, (initial,)))
+    reached = sorted(_reachable(merged.__getitem__, starts))
     index = {q: i for i, q in enumerate(reached)}
     return _certify(([[[index[t] for t in merged[q]]] for q in reached],
-                     index[initial], {index[q] for q in reached if q in accepting}))
+                     {index[q]: w for q, w in starts.items()},
+                     {index[q] for q in reached if q in accepting}))
 
 
 def _certify(quotient) -> RationalFunction:
     """The growth series of a quotient shaped as ``_lumped_quotient`` returns it, proved.
 
     Its count of length k is a_k = e B^k v, with B its matrix (colours
-    summed, targets with multiplicity) and e, v the indicators of its initial
-    and accepting blocks.  For a quotient of an automaton with matrix A,
-    A P = P B and the accepting indicator P v give the automaton's counts.
+    summed, targets with multiplicity), e its start weights and v the
+    indicator of its accepting blocks.  For a quotient of an automaton with
+    matrix A and start weights e', A P = P B, e = e' P and the accepting
+    indicator P v give the automaton's counts.
 
     The fraction is proved by the annihilator of v (Berstel and Reutenauer,
     Noncommutative Rational Series with Applications, ch. 1):
@@ -558,10 +614,12 @@ def _certify(quotient) -> RationalFunction:
        in D F is sum_i c_i a_{N-m+i} = 0 for N >= m: D F is a polynomial of
        degree < m, read off a_0..a_{m-1}.
 
-    An empty accept set gives m = 0 and 0/1.  ``RationalFunction.make``
-    reduces the fraction; no further check is needed.
+    Step 3 holds for any start weights e, so one annihilator proves a signed
+    sum of counts as well as one count.  An empty accept set gives m = 0 and
+    0/1.  ``RationalFunction.make`` reduces the fraction; no further check is
+    needed.
     """
-    rows, initial, accepting = quotient
+    rows, starts, accepting = quotient
     rows = [[t for part in row for t in part] for row in rows]
     vector = [1 if q in accepting else 0 for q in range(len(rows))]
     counts = []
@@ -582,7 +640,7 @@ def _certify(quotient) -> RationalFunction:
             r = [a // g for a in r]
             c = [a // g for a in c]
         basis.append((next(q for q, a in enumerate(r) if a), r, c))
-        counts.append(vector[initial])
+        counts.append(sum(w * vector[b] for b, w in starts.items()))
         vector = [sum(map(vector.__getitem__, row)) for row in rows]
     denominator = c[::-1]
     numerator = [sum(denominator[i] * counts[k - i] for i in range(k + 1)) for k in range(m)]

@@ -41,11 +41,11 @@ from .automata import (
     Dfa,
     _fold,
     _product,
+    _signed_growth_series,
     all_words_dfa,
     complement_lang,
     cyc_perm,
     empty_language_dfa,
-    growth_series,
     intersect,
     minimize,
     restricted_growth_series,
@@ -371,22 +371,25 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     subset S, the geodesics that carry a shuffle-rotatable cancelling pair at
     each vertex of S, with alternating signs.  The subsets are walked depth
     first in increasing vertex order, so each intersection extends its
-    parent's by one automaton: at most 2^n - 1 intersections, and at most
-    n + 1 automata alive at once.  The chain only counts and tests for
-    emptiness, so each intersection is the reachable product, unminimized:
-    ``growth_series`` takes any complete DFA, and a reachable product is
-    empty exactly when it has no accepting state.  Such a subtree is cut,
-    since every further intersection is empty too.
+    parent's by one automaton: at most 2^n - 1 intersections.  The chain only
+    counts and tests for emptiness, so each intersection is the reachable
+    product, unminimized: counting takes any complete DFA, and a reachable
+    product is empty exactly when it has no accepting state.  An empty one is
+    dropped with its subtree, since every further intersection is empty too.
+    The signed terms stream into ``automata._signed_growth_series``, which
+    lumps each one as it arrives and certifies the whole sum once.  So the
+    chain holds at most n + 2 automata at once (the current one, its
+    ancestors and the product being built), besides one lumped quotient per
+    nonempty term.
     """
     lprimes = [lprime_fsa(g, v) for v in range(g.n_vertices)]
 
-    def signed_sum(automaton: Dfa, first: int) -> RationalFunction:
-        # sum over subsets T of {first, ..., n-1} of (-1)^|T| * growth(automaton & L'_T)
-        total = growth_series(automaton)
-        if not automaton.accepting:
-            return total  # the empty language: every further intersection is empty too
+    def terms(automaton: Dfa, sign: int, first: int):
+        # (sign * (-1)^|T|, automaton & L'_T) for the subsets T of {first, ..., n-1}
+        yield sign, automaton
         for v in range(first, g.n_vertices):
-            total = total - signed_sum(_product(automaton, lprimes[v], and_), v + 1)
-        return total
+            product = _product(automaton, lprimes[v], and_)
+            if product.accepting:  # else every further intersection is empty too
+                yield from terms(product, -sign, v + 1)
 
-    return signed_sum(geo_fsa(g), 0)
+    return _signed_growth_series(terms(geo_fsa(g), 1, 0))

@@ -20,20 +20,25 @@
   accepted when its connection polynomial annihilates the whole vector
   sequence A^n v (a Krylov residual check), and otherwise the fraction comes
   from ``transfer_matrix_series`` on that unlumped automaton.
+* ``lumped_quotient``: restrict a coloured automaton to its reachable and
+  co-reachable states first, then lump them.  The library lumps every raw
+  state and cuts the small quotient afterwards.
 * ``transfer_matrix_series``: a denominator and a numerator-degree bound
   proved component by component (Tarjan's algorithm orders the components
   sinks first), with factor maps max-merged along the way, and each
   component's det(I - zA_C) by Faddeev-LeVerrier (``det_one_minus_z``).
-  ``certify`` runs it on a lumped quotient.  The library proves its
-  fraction by the Krylov annihilator of the accept vector instead, and
-  shares no code with this certificate; ``krylov_dimension`` is the number
-  of counts that certificate must read, by Gaussian elimination over Q.
+  ``certify`` runs it on a lumped quotient, once per start block.  The
+  library proves its fraction by the Krylov annihilator of the accept vector
+  instead, and shares no code with this certificate; ``krylov_dimension`` is
+  the number of counts that certificate must read, by Gaussian elimination
+  over Q.
 
 The tests compare ``automata.minimize``, ``automata.concat``,
 ``automata.cyc_perm``, ``automata.count_words``, ``automata.growth_series``,
-``automata.restricted_growth_series`` and ``automata._certify`` against
-them.  ``words_up_to`` lists the accepted words of an automaton by length,
-for brute-force comparisons.
+``automata.restricted_growth_series``, ``automata._lumped_quotient``,
+``automata._signed_growth_series`` and ``automata._certify`` against them.
+``words_up_to`` lists the accepted words of an automaton by length, for
+brute-force comparisons.
 """
 
 from __future__ import annotations
@@ -484,11 +489,16 @@ def transfer_matrix_series(work: TrimmedCounting) -> RationalFunction:
 
 
 def certify(quotient) -> RationalFunction:
-    """``transfer_matrix_series`` on a quotient shaped as ``automata._certify`` takes it."""
-    rows, initial, accepting = quotient
+    """``transfer_matrix_series`` on a quotient shaped as ``automata._certify`` takes it,
+    one start block at a time, summed with the start weights."""
+    rows, starts, accepting = quotient
     outgoing = [[t for part in row for t in part] for row in rows]
-    return transfer_matrix_series(
-        Counting(outgoing, initial, [1 if q in accepting else 0 for q in range(len(rows))]))
+    vector = [1 if q in accepting else 0 for q in range(len(rows))]
+    total = RationalFunction.make([0])
+    for initial, weight in starts.items():
+        total = total + RationalFunction.make([weight]) * transfer_matrix_series(
+            Counting(outgoing, initial, vector))
+    return total
 
 
 def krylov_dimension(quotient) -> int:
@@ -509,6 +519,42 @@ def krylov_dimension(quotient) -> int:
             matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
         rank += 1
     return rank
+
+
+def lumped_quotient(row, n: int, initial: int, accepting, colours=(slice(None),)):
+    """The coarsest count-preserving quotient of a coloured automaton's trim part,
+    trimmed before it is lumped.
+
+    ``row``, ``n``, ``accepting`` and ``colours`` are as ``automata._lumped_quotient``
+    takes them, with one initial state of weight 1.  Only the reachable and
+    co-reachable states are lumped, from accepting versus rejecting, split by
+    the multiset of blocks their trim targets fall in under each colour.
+    Returns ``(rows, initial, accepting)``; the initial state is kept even when
+    it is dead, so an empty trim part gives one rejecting block without moves.
+    """
+    trim = sorted((automata._reachable(row, (initial,)) & automata._coreachable(row, n, accepting))
+                  | {initial})
+    index = {q: i for i, q in enumerate(trim)}
+    k, m = len(colours), len(trim)
+    outgoing = [[c * m + index[t] for c, s in enumerate(colours) for t in row(q)[s] if t in index]
+                for q in trim]
+    vector = [1 if q in accepting else 0 for q in trim]
+    block, count = vector, 0
+    while True:
+        tags = [b * k + c for c in range(k) for b in block]
+        signatures = {}
+        block = [
+            signatures.setdefault((block[q], tuple(sorted(map(tags.__getitem__, moves)))),
+                                  len(signatures))
+            for q, moves in enumerate(outgoing)
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    first = [block.index(b) for b in range(count)]
+    quotient = [[[block[x % m] for x in outgoing[q] if x // m == c] for c in range(k)]
+                for q in first]
+    return quotient, block[index[initial]], {b for b, q in enumerate(first) if vector[q]}
 
 
 def det_one_minus_z(rows) -> tuple:

@@ -370,7 +370,7 @@ def test_growth_series_matches_reference(d):
 
 def one_colour_quotient(d):
     """``_lumped_quotient`` of a DFA read as one colour, as ``growth_series`` lumps it."""
-    return automata._lumped_quotient(automata._row(d), d.n_states, d.initial, d.accepting)
+    return automata._lumped_quotient(automata._row(d), d.n_states, {d.initial: 1}, d.accepting)
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,20 +455,22 @@ def test_det_one_minus_z_small_components():
 @st.composite
 def quotients(draw, max_states=8):
     """Quotient-shaped input of ``_certify``: coloured rows with multiplicity,
-    a random initial block and an accept set that may be empty."""
+    random signed weights on a nonempty set of start blocks and an accept set
+    that may be empty."""
     n = draw(st.integers(1, max_states))
     k = draw(st.integers(1, 3))
     target = st.lists(st.integers(0, n - 1), max_size=3)
     rows = [[draw(target) for _ in range(k)] for _ in range(n)]
     accepting = {q for q in range(n) if draw(st.booleans())}
-    return rows, draw(st.integers(0, n - 1)), accepting
+    starts = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([1, -1, 2]), min_size=1))
+    return rows, starts, accepting
 
 
 @settings(max_examples=300, deadline=None)
 @given(quotients())
-@example(([[[]]], 0, set()))                                   # empty accept set: m = 0
-@example(([[[0]], [[1]]], 0, {1}))                              # unreachable loop
-@example(([[[0, 0], [1]], [[1, 0], []], [[2, 2, 2]]], 1, {0, 2}))
+@example(([[[]]], {0: 1}, set()))                              # empty accept set: m = 0
+@example(([[[0]], [[1]]], {0: 1}, {1}))                         # unreachable loop
+@example(([[[0, 0], [1]], [[1, 0], []], [[2, 2, 2]]], {1: 1}, {0, 2}))
 def test_certify_matches_transfer_matrix(quotient):
     # the same reduced fraction as the transfer-matrix certificate, from
     # exactly as many counts as the Krylov space of the accept vector has
@@ -492,7 +494,7 @@ def test_certify_matches_transfer_matrix(quotient):
 def test_certify_chain_of_loops():
     # the quotient of a* A a* A a*: three blocks with a loop each in a chain,
     # so the accept vector spans all three and the denominator is (1-z)^3
-    rf = automata._certify(([[[0, 1]], [[1, 2]], [[2]]], 0, {2}))
+    rf = automata._certify(([[[0, 1]], [[1, 2]], [[2]]], {0: 1}, {2}))
     assert (rf.num, rf.den) == ((0, 0, 1), (1, -3, 3, -1))
 
 
@@ -501,7 +503,7 @@ def test_certify_chain_into_loop():
     # e_0 + e_1 + e_2 and then w_3 = w_2, so c = (0, 0, -1, 1) with c_0 = 0.
     # D = sum c_i z^(3-i) = 1 - z has degree 1 < m = 3, and F = z^2/(1-z);
     # the unreversed z^3 - z^2 vanishes at 0 and would give another fraction
-    rf = automata._certify(([[[1]], [[2]], [[2]]], 0, {2}))
+    rf = automata._certify(([[[1]], [[2]], [[2]]], {0: 1}, {2}))
     assert (rf.num, rf.den) == ((0, 0, 1), (1, -1))
     assert rf.expand(6).coefficients == (0, 0, 1, 1, 1, 1, 1)
 
@@ -519,6 +521,69 @@ def test_growth_series_reduces_factor_cancelled_at_initial_state():
     assert len(rows) == 3
     rf = growth_series(d)
     assert (rf.num, rf.den) == ((0, 1), (1, -1))
+
+
+UNTRIMMED = Dfa(A1, 4, [2, 0, 2, 3, 2, 3, 3, 3], 1, {0, 2})  # unreachable 0, dead sink 3
+VERTEX_COLOURS = [slice(0, 2), slice(2, 4)]  # the colours vertex_quotient gives AB
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(AB, [slice(None)]), (AB, VERTEX_COLOURS), (A1, [slice(None)])]).flatmap(
+    lambda case: st.tuples(random_dfas(case[0], max_states=8, random_initial=True),
+                           st.just(case[1]))))
+@example((UNTRIMMED, [slice(None)]))
+@example((empty_language_dfa(AB), VERTEX_COLOURS))
+def test_untrimmed_lumping_matches_trim_then_lump(case):
+    # lumping every raw state and cutting the quotient to its reachable,
+    # co-reachable blocks gives the coarsest quotient of the trim part: as
+    # many blocks as trimming first, and the same fractions for every colour
+    # set.  Without the cut, a dead block survives
+    d, colours = case
+    row = automata._row(d)
+    got = automata._lumped_quotient(row, d.n_states, {d.initial: 1}, d.accepting, colours)
+    rows, initial, accepting = reference_automata.lumped_quotient(
+        row, d.n_states, d.initial, d.accepting, colours)
+    assert len(got[0]) == (len(rows) if accepting else 0)
+    want = (rows, {initial: 1}, accepting)
+    for mask in range(1, 1 << len(colours)):
+        part = [c for c in range(len(colours)) if mask >> c & 1]
+        assert (automata.restricted_growth_series(got, part)
+                == automata.restricted_growth_series(want, part)), part
+    assert growth_series(d) == automata._certify(want)
+
+
+def signed_sum(terms) -> RationalFunction:
+    """Sum of sign * ``reference_automata.growth_series(dfa)`` over (sign, dfa) pairs."""
+    total = RationalFunction.make([0])
+    for sign, d in terms:
+        total = total + RationalFunction.make([sign]) * reference_automata.growth_series(d)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([AB, A1]).flatmap(lambda alphabet: st.lists(st.tuples(
+    st.sampled_from([1, -1]),
+    st.one_of(random_dfas(alphabet, max_states=6),
+              random_dfas(alphabet, max_states=6, random_initial=True))), max_size=5)))
+@example([(1, UNTRIMMED), (1, single_word_dfa(A1, (0, 1))), (-1, empty_language_dfa(A1))])
+@example([(-1, all_words_dfa(AB)), (1, single_word_dfa(AB, ())), (1, all_words_dfa(AB))])
+def test_signed_growth_series_matches_reference(terms):
+    # one certificate for the signed sum, each term read through its own start
+    # weight: a dropped sign or a count read at one start block only differs
+    got = automata._signed_growth_series(iter(terms))
+    want = signed_sum(terms)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("d", [UNTRIMMED, all_words_dfa(AB), empty_language_dfa(AB),
+                               conjgeo_fsa(path_graph(4))],
+                         ids=["untrimmed", "all", "empty", "conjgeo-P4"])
+def test_signed_growth_series_of_own_negation_is_zero(d):
+    # both copies lump into the same blocks, whose summed start weight is 0
+    rf = automata._signed_growth_series([(1, d), (-1, d)])
+    assert (rf.num, rf.den) == ((0,), (1,))
+    rf = automata._signed_growth_series([(1, d), (-1, d), (1, d)])
+    assert rf == growth_series(d)
 
 
 # -- minimization and equivalence ----------------------------------------------

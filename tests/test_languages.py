@@ -313,6 +313,31 @@ def test_incl_excl_prunes_empty_intersections(monkeypatch, g, calls):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)],
+                         ids=["P5", "C5", "P6", "C6"])
+def test_incl_excl_certifies_once(monkeypatch, g):
+    # the chain's signed terms are lumped one by one and their sum is proved
+    # by one certificate, with no rational function added or subtracted
+    original = automata._certify
+    certificates, sums = [], []
+
+    def spy(quotient):
+        certificates.append(1)
+        return original(quotient)
+
+    def counted(operation):
+        def sum_spy(self, other):
+            sums.append(1)
+            return operation(self, other)
+        return sum_spy
+
+    monkeypatch.setattr(automata, "_certify", spy)
+    monkeypatch.setattr(RationalFunction, "__add__", counted(RationalFunction.__add__))
+    monkeypatch.setattr(RationalFunction, "__sub__", counted(RationalFunction.__sub__))
+    conjgeo_series_incl_excl(g)
+    assert (len(certificates), len(sums)) == (1, 0)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_graphs(max_vertices=4))
 @example(SimpleGraph.make([], []))
