@@ -67,6 +67,37 @@ e A^k v = sum_i s_i [z^k] F_i.  Stability A P = P B does not depend on e,
 so the union lumps like any automaton, with start weights e P.  The
 annihilator of the quotient's accept vector v', sum_i c_i B^i v' = 0, gives
 sum_i c_i e P B^(k+i) v' = 0 for every e, so it proves the whole sum.
+
+Counting may also divide out a sign swap (``_sign_quotient``).  Let sigma_v
+swap the letters 2v and 2v + 1 (x_v -> x_v^-1), and let s be a permutation
+of a DFA's reachable states with s(delta(q, x)) = delta(s(q), sigma_v x) that
+keeps acceptance.  Lemma: the orbits {q, s(q)} are lumpable for one colour
+and for every vertex colour (ordinary lumpability, Buchholz, TCS 2008;
+symmetry reduction, Emerson and Sistla, FMSD 1996).  s carries the moves of
+q under the letters of a vertex u onto the moves of s(q) under their swaps,
+which are the letters of u again, so q and s(q) move to the same multiset
+of orbits under each colour, and they agree on acceptance.  The DFA on the
+representatives, each row with its targets replaced by their
+representatives, has the matrices B_c of that partition, so it counts as
+the DFA does, colour by colour.
+
+Lemma (products): let each factor A_v of a product meet the three
+conditions ``_sign_quotient`` checks for its own vertex v: sigma_v induces
+s_v, s_v keeps acceptance, and A_v reads the two letters of every other
+vertex alike.  Then sigma_v acts on factor v alone: s_v on that coordinate
+and the identity on the others is an automorphism of the product under
+sigma_v, since the other factors read sigma_v x as x.  These automorphisms
+commute and keep every verdict of every factor, so they keep acceptance by
+any boolean combination of the verdicts.  Their orbits are tuples of
+orbits, lumpable for every vertex colour as above, and the representative
+DFA of that partition is the product of the quotients.  A product of
+quotients therefore counts as the product of the factors, colour by colour;
+minimizing it, collapsing its constant pairs or complementing it keeps that
+(the Myhill-Nerode lemma above).  So ``_product``, ``_fold``'s ``minimize``,
+``complement_lang``, ``vertex_quotient`` and ``_signed_growth_series`` see
+the counts of the undivided product.  A factor that reads the letters of
+another vertex apart, such as the whole geodesic acceptor, is refused: its
+swap would act on two factors at once.
 """
 
 from __future__ import annotations
@@ -75,7 +106,7 @@ from math import gcd
 from operator import and_, or_
 
 from .graphs import OrderedAlphabet
-from .series import RationalFunction
+from .series import InvariantError, RationalFunction
 
 
 class AlphabetMismatch(ValueError):
@@ -265,7 +296,10 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
     every pair holding it for good.  All pairs with the same fixed verdict are
     one constant state, X* or the empty language.  Most states that Hopcroft
     would merge in the pipeline's products are such pairs, but the result is
-    not minimized: ``intersect``, ``union`` and the ``cyc_perm`` fold minimize it.
+    not minimized: ``intersect`` and ``union`` minimize it, ``_fold`` (the
+    ``cyc_perm`` fold and the checker folds of ``languages``) does once the
+    fold has doubled, and the counted union fold and inclusion-exclusion
+    chain of ``languages`` never do.
     """
     _require_same_alphabet(a, b)
     size = a.alphabet.size
@@ -396,6 +430,44 @@ def _coreachable(targets, n: int, accepting) -> set:
         for t in targets(q):
             incoming[t].append(q)
     return _reachable(incoming.__getitem__, accepting)
+
+
+def _sign_quotient(dfa: Dfa, v: int) -> Dfa:
+    """The orbit quotient of ``dfa`` under the letter swap 2v <-> 2v + 1 (x_v -> x_v^-1).
+
+    One simultaneous breadth-first search from the initial state pairs each
+    reachable state q, reached by a word w, with s(q), the state reached by
+    the swapped word.  The result has the representatives min(q, s(q)) as
+    states, and the row of each is its row in ``dfa`` with every target
+    replaced by its representative.  Raises ``InvariantError`` when the swap
+    does not induce an automorphism s, when s moves acceptance, or when the
+    two letters of another vertex send some state to different targets; the
+    product lemma in the module docstring needs all three.
+    """
+    size, transitions = dfa.alphabet.size, dfa.transitions
+    swapped = [x ^ 1 if x >> 1 == v else x for x in range(size)]
+    image = {dfa.initial: dfa.initial}
+    order = [dfa.initial]
+    for q in order:
+        p = image[q]
+        if (q in dfa.accepting) != (p in dfa.accepting):
+            raise InvariantError(f"the sign swap of vertex {v} moves acceptance")
+        row = transitions[q * size:(q + 1) * size]
+        if any(a != b for u, (a, b) in enumerate(zip(row[::2], row[1::2])) if u != v):
+            raise InvariantError(f"the letters of a vertex other than {v} move apart")
+        for t, x in zip(row, swapped):
+            s = transitions[p * size + x]
+            if t not in image:
+                image[t] = s
+                order.append(t)
+            elif image[t] != s:
+                raise InvariantError(f"the sign swap of vertex {v} is not an automorphism")
+    representatives = sorted({min(q, s) for q, s in image.items()})
+    index = {q: i for i, q in enumerate(representatives)}
+    block = {q: index[min(q, s)] for q, s in image.items()}
+    table = [block[t] for q in representatives for t in transitions[q * size:(q + 1) * size]]
+    return Dfa(dfa.alphabet, len(representatives), table, block[dfa.initial],
+               [block[q] for q in representatives if q in dfa.accepting])
 
 
 def cyc_perm(a: Dfa) -> Dfa:

@@ -18,10 +18,15 @@ Given a defining graph, this module builds complete DFAs for:
 
 Each acceptor is one fold from a constant automaton, so the empty graph needs
 no branch: ``geo_fsa``, ``shortlex_fsa`` and ``cycsl_fsa`` intersect into
-X*, and ``conjgeo_fsa`` unions into the empty language.  ``cycsl_fsa`` and
-``conjgeo_fsa`` minimize a private fold (``_cycsl_fold``, ``_conjgeo_fold``);
-the series routes count those folds as they are, since counting needs no
-minimal automaton (lemma in ``automata``).
+X*, and ``conjgeo_fsa`` unions into the empty language.  These builders
+minimize their fold.  The series routes fold the same per-vertex factors
+after dividing each by its sign swap x_v -> x_v^-1
+(``automata._sign_quotient``): ``_divided_fold`` (the geodesic and
+cyclically-shortlex checkers), ``_conjgeo_fold`` (the closures) and the
+inclusion-exclusion chain.  Those folds accept other languages than the
+builders, with the same counts for every sum of vertex colours, and are
+counted as they are, since counting needs no minimal automaton (both lemmas
+in ``automata``).
 
 The conjugacy geodesics use the identity
 ``CycL = X* \\ CycPerm(X* \\ L)`` with the cyclic-permutation closure from
@@ -41,6 +46,7 @@ from .automata import (
     Dfa,
     _fold,
     _product,
+    _sign_quotient,
     _signed_growth_series,
     all_words_dfa,
     complement_lang,
@@ -215,23 +221,34 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     in f s' with s' commuting with l.  Neither f nor s' is l, so f s' ends u,
     and the rotation u p l holds the factor f s' p l.
 
-    So the language is the intersection of the ``_cyc_avoid(v)``: the
-    minimized ``_cycsl_fold``.
-    """
-    return minimize(_cycsl_fold(g))
-
-
-def _cycsl_fold(g: SimpleGraph) -> Dfa:
-    """The ``_cyc_avoid(v)`` folded into X* in vertex order, not minimized at the end.
-
-    ``automata._fold`` minimizes only when the fold has doubled: minimizing
-    every step is wasted work on paths and cycles, and never minimizing blows
-    up on dense blocks.  The reverse vertex order measured 7-80x slower on
-    co-C8 and co-P8.  The result accepts the language of ``cycsl_fsa``.
+    So the language is the intersection of the ``_cyc_avoid(v)``, folded
+    into X* in vertex order by ``automata._fold`` and minimized.  The fold
+    minimizes only when it has doubled: minimizing every step is wasted work
+    on paths and cycles, and never minimizing blows up on dense blocks.  The
+    reverse vertex order measured 7-80x slower on co-C8 and co-P8.
     """
     alphabet = g.alphabet()
     checkers = (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices))
-    return _fold(all_words_dfa(alphabet), checkers, and_)[0]
+    return minimize(_fold(all_words_dfa(alphabet), checkers, and_)[0])
+
+
+def _divided_fold(g: SimpleGraph, checker) -> Dfa:
+    """Every ``checker(g, alphabet, v)`` divided by its sign swap, folded into X* in vertex order.
+
+    Each checker goes through ``automata._sign_quotient(checker, v)`` and the
+    quotients through ``automata._fold``, as in ``cycsl_fsa``, with no
+    minimization at the end.  The fold does not accept the intersection of the
+    checkers, but by the product lemma in ``automata`` it counts the same
+    words for every sum of vertex colours; it is only counted.
+    """
+    alphabet = g.alphabet()
+    factors = (_sign_quotient(checker(g, alphabet, v), v) for v in range(g.n_vertices))
+    return _fold(all_words_dfa(alphabet), factors, and_)[0]
+
+
+def _cycsl_fold(g: SimpleGraph) -> Dfa:
+    """``_divided_fold(g, _cyc_avoid)``: the counts of ``cycsl_fsa``, vertex colour by colour."""
+    return _divided_fold(g, _cyc_avoid)
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
@@ -240,26 +257,41 @@ def conjgeo_fsa(g: SimpleGraph) -> Dfa:
     The geodesics are the intersection of the per-vertex checkers L_v, so a
     word fails to be conjugacy geodesic exactly when some rotation of it is
     rejected by some checker: the non-conjugacy-geodesics are the union over
-    v of CycPerm(X* \\ L_v), since the closure distributes over union: the
-    ``_conjgeo_fold``, minimized once and complemented.
+    v of CycPerm(X* \\ L_v), since the closure distributes over union.  That
+    ``_union_fold`` of the ``_closures`` is minimized once and complemented.
     """
-    return complement_lang(minimize(_conjgeo_fold(g)))
+    return complement_lang(minimize(_union_fold(g, _closures(g))))
+
+
+def _closures(g: SimpleGraph):
+    """CycPerm(X* \\ L_v) for each vertex v in turn, L_v the minimal four-state checker."""
+    alphabet = g.alphabet()
+    return (cyc_perm(complement_lang(geo_checker(g, alphabet, v))) for v in range(g.n_vertices))
+
+
+def _union_fold(g: SimpleGraph, parts) -> Dfa:
+    """The union of the automata ``parts``, folded by reachable products into the empty language.
+
+    Every step of the undivided fold measured already minimal, so the fold is
+    never minimized.
+    """
+    rejected = empty_language_dfa(g.alphabet())
+    for part in parts:
+        rejected = _product(rejected, part, or_)
+    return rejected
 
 
 def _conjgeo_fold(g: SimpleGraph) -> Dfa:
-    """The words that are not conjugacy geodesic, as an unminimized union fold.
+    """The ``_union_fold`` of the ``_closures``, each divided by its sign swap first.
 
-    Each closure runs on the complement of a minimal four-state checker, and
-    the n results are folded by reachable products into the empty language.
-    Every step measured already minimal, so the fold is never minimized; the
-    series route counts its complement as it is.
+    Each closure is closed under x_v -> x_v^-1 and reads the two letters of
+    any other vertex alike, so ``automata._sign_quotient`` divides it; the
+    union is taken after the closures, which do not commute with the
+    division.  The fold does not accept the words of ``conjgeo_fsa``'s
+    complement, but by the product lemma in ``automata`` its complement
+    counts the conjugacy geodesics: the series route counts it as it is.
     """
-    alphabet = g.alphabet()
-    rejected = empty_language_dfa(alphabet)
-    for v in range(g.n_vertices):
-        closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
-        rejected = _product(rejected, closed, or_)
-    return rejected
+    return _union_fold(g, map(_sign_quotient, _closures(g), range(g.n_vertices)))
 
 
 def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
@@ -368,28 +400,44 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     """Conjugacy geodesic growth series by inclusion-exclusion over vertices.
 
     Independent of the cyclic-closure route: subtracts, for every vertex
-    subset S, the geodesics that carry a shuffle-rotatable cancelling pair at
-    each vertex of S, with alternating signs.  The subsets are walked depth
-    first in increasing vertex order, so each intersection extends its
-    parent's by one automaton: at most 2^n - 1 intersections.  The chain only
-    counts and tests for emptiness, so each intersection is the reachable
-    product, unminimized: counting takes any complete DFA, and a reachable
-    product is empty exactly when it has no accepting state.  An empty one is
-    dropped with its subtree, since every further intersection is empty too.
-    The signed terms stream into ``automata._signed_growth_series``, which
-    lumps each one as it arrives and certifies the whole sum once.  So the
-    chain holds at most n + 2 automata at once (the current one, its
-    ancestors and the product being built), besides one lumped quotient per
-    nonempty term.
+    subset T, the geodesics that carry a shuffle-rotatable cancelling pair at
+    each vertex of T, with alternating signs.  Those words are the
+    intersection over v of L_v (``geo_checker``) for v outside T and of
+    L_v & L'_v (``lprime_fsa``) for v in T, so each vertex has two factors,
+    each divided by its sign swap (``automata._sign_quotient``).  The product
+    lemma in ``automata`` makes the product of the divided factors count the
+    same words; ``geo_fsa`` itself could not be divided, since it reads the
+    letters of every vertex.
+
+    The choices are walked depth first in vertex order from X*, so each
+    product extends its parent's by one factor: two products per nonempty
+    node above the leaves.  The chain only counts and tests for emptiness,
+    so each product is the reachable one, unminimized: counting takes any
+    complete DFA, and a reachable product is empty exactly when it has no
+    accepting state.  An empty one is dropped with its subtree, since every
+    further product is empty too; only cliques T are left, since L'_u & L'_w
+    is empty for nonadjacent u and w.  The
+    signed terms stream into ``automata._signed_growth_series``, which lumps
+    each one as it arrives and certifies the whole sum once.  So the chain
+    holds at most n + 2 automata at once (X*, the products on the current
+    path, the last child and the product being built), besides the 2n
+    factors and one lumped quotient per nonempty term.
     """
-    lprimes = [lprime_fsa(g, v) for v in range(g.n_vertices)]
+    alphabet = g.alphabet()
+    factors = []  # per vertex v: (+1, L_v) and (-1, L_v & L'_v), divided
+    for v in range(g.n_vertices):
+        checker = geo_checker(g, alphabet, v)
+        factors.append(((1, _sign_quotient(checker, v)),
+                        (-1, _sign_quotient(intersect(checker, lprime_fsa(g, v)), v))))
 
-    def terms(automaton: Dfa, sign: int, first: int):
-        # (sign * (-1)^|T|, automaton & L'_T) for the subsets T of {first, ..., n-1}
-        yield sign, automaton
-        for v in range(first, g.n_vertices):
-            product = _product(automaton, lprimes[v], and_)
-            if product.accepting:  # else every further intersection is empty too
-                yield from terms(product, -sign, v + 1)
+    def terms(automaton: Dfa, sign: int, v: int):
+        # (sign * (-1)^|T|, automaton & the factors of v..n-1 that T picks), T in {v, ..., n-1}
+        if v == g.n_vertices:
+            yield sign, automaton
+            return
+        for flip, factor in factors[v]:
+            product = _product(automaton, factor, and_)
+            if product.accepting:  # else every further product is empty too
+                yield from terms(product, flip * sign, v + 1)
 
-    return _signed_growth_series(terms(geo_fsa(g), 1, 0))
+    return _signed_growth_series(terms(all_words_dfa(alphabet), 1, 0))

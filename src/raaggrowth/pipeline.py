@@ -30,9 +30,10 @@ from .automata import complement_lang, growth_series
 from .graphs import GraphError, SimpleGraph
 from .languages import (
     _conjgeo_fold,
+    _divided_fold,
     conjgeo_series_incl_excl,
     cycsl_support_table,
-    geo_fsa,
+    geo_checker,
     shortlex_fsa,
 )
 from .series import InvariantError, PowerSeries, RationalFunction, neck, poly_mul, rho
@@ -101,14 +102,20 @@ def spherical_growth_series(g: SimpleGraph) -> RationalFunction:
 
 
 def geodesic_series(g: SimpleGraph) -> RationalFunction:
-    return growth_series(geo_fsa(g))
+    """Geodesic growth series, counted on the ``languages._divided_fold`` of the checkers.
+
+    The checkers are those whose intersection is ``geo_fsa``; each is divided
+    by its sign swap, and the fold counts the geodesic words.
+    """
+    return growth_series(_divided_fold(g, geo_checker))
 
 
 def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunction:
     """Conjugacy geodesic growth series.
 
     ``direct`` counts the conjugacy geodesic automaton built through the
-    cyclic closure, the complement of ``languages._conjgeo_fold`` unminimized;
+    cyclic closure: the complement of ``languages._conjgeo_fold``, whose
+    closures are divided by their sign swaps, unminimized;
     ``incl-excl`` evaluates the alternating sum over vertex subsets.  The two
     routes are independent and must agree.
     """

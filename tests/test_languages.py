@@ -9,6 +9,7 @@ from conftest import (
     all_three_vertex_graphs, complete_graph, cycle_graph, labelled_graphs, path_graph, small_graphs,
 )
 from raaggrowth import (
+    Dfa,
     SimpleGraph,
     GraphError,
     conjgeo_fsa,
@@ -32,7 +33,7 @@ from raaggrowth import (
 )
 from raaggrowth import automata, languages, oracle
 from raaggrowth.languages import cycsl_support_fsa, support_exact, support_require
-from raaggrowth.series import RationalFunction
+from raaggrowth.series import InvariantError, RationalFunction
 
 
 def rf(num, den=(1,)):
@@ -291,26 +292,64 @@ def test_incl_excl_matches_direct(g):
     assert conjgeo_series_incl_excl(g) == growth_series(conjgeo_fsa(g))
 
 
-@pytest.mark.parametrize("g, calls", [(path_graph(5), 21), (cycle_graph(5), 21),
-                                      (path_graph(6), 31), (cycle_graph(6), 31)],
+@pytest.mark.parametrize("g, cliques, products", [(path_graph(5), 10, 42), (cycle_graph(5), 11, 42),
+                                                   (path_graph(6), 12, 62), (cycle_graph(6), 13, 62)],
                          ids=["P5", "C5", "P6", "C6"])
-def test_incl_excl_prunes_empty_intersections(monkeypatch, g, calls):
-    # only the cliques of g survive as nonempty intersections; without the
-    # cut each of the 2^n - 1 nonempty vertex subsets costs one.  The
-    # geodesic acceptor is built up front, so its own products are not counted.
-    # The chain calls the product directly, without minimizing
-    geodesics = geo_fsa(g)
-    original = languages._product
-    seen = []
+def test_incl_excl_prunes_empty_intersections(monkeypatch, g, cliques, products):
+    # the nonempty terms are exactly the cliques T of g, the empty one
+    # included, each with sign (-1)^|T|.  The chain multiplies, at vertex v,
+    # by the divided L_v (v not in T) or L_v & L'_v (v in T), and L'_u & L'_w
+    # is empty for nonadjacent u, w: the first letter off the neighbours of u
+    # is an x_u, which comes after the first x_w, and the other way round.
+    # A node at depth d < n (the choices for vertices 0..d-1) is nonempty
+    # here exactly when its T is a clique, and it makes two products, so the
+    # chain makes 2 * sum over d < n of the cliques of g[0..d-1]: on P5 and
+    # on C5, whose first four vertices induce P4, 2 * (1 + 2 + 4 + 6 + 8) =
+    # 42, and on P6 and C6 2 * (21 + 10) = 62.  L_v accepts the empty word
+    # and L'_v does not, which tells the spy the factor chosen
+    chain = {}  # id of a product -> (the product, its depth, its T)
+    terms = []
+    product, signed = languages._product, languages._signed_growth_series
+
+    def product_spy(a, b, keep):
+        result = product(a, b, keep)
+        _, depth, chosen = chain.get(id(a), (a, 0, ()))
+        chain[id(result)] = (result, depth + 1, chosen + (() if b.initial in b.accepting else (depth,)))
+        return result
+
+    def signed_spy(pairs):
+        pairs = list(pairs)
+        terms.extend((sign, chain[id(dfa)][2]) for sign, dfa in pairs)
+        return signed(pairs)
+
+    monkeypatch.setattr(languages, "_product", product_spy)
+    monkeypatch.setattr(languages, "_signed_growth_series", signed_spy)
+    conjgeo_series_incl_excl(g)
+    want = [((-1) ** k, t) for k in range(g.n_vertices + 1)
+            for t in itertools.combinations(range(g.n_vertices), k)
+            if all(g.adjacent(u, w) for u, w in itertools.combinations(t, 2))]
+    assert sorted(terms) == sorted(want) and len(want) == cliques
+    assert len(chain) == products
+
+
+def test_incl_excl_bounds_z8_product_states(monkeypatch):
+    # on Z^8 every vertex is central, so every L_v & L'_v is empty and only
+    # the chain of divided L_v has states: 526 over its 16 products, where
+    # the undivided chain explored 52,496 pair states in empty products of
+    # geo_fsa and L'_v
+    g = complete_graph(8)
+    want = growth_series(conjgeo_fsa(g))
+    states = []
+    product = languages._product
 
     def spy(a, b, keep):
-        seen.append(1)
-        return original(a, b, keep)
+        result = product(a, b, keep)
+        states.append(result.n_states)
+        return result
 
-    monkeypatch.setattr(languages, "geo_fsa", lambda _: geodesics)
     monkeypatch.setattr(languages, "_product", spy)
-    conjgeo_series_incl_excl(g)
-    assert len(seen) == calls
+    assert conjgeo_series_incl_excl(g) == want
+    assert sum(states) <= 526
 
 
 @pytest.mark.parametrize("g", [path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)],
@@ -531,6 +570,48 @@ def test_conjgeo_routes_share_no_automaton(g):
     for v in range(g.n_vertices):
         closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
         assert closed.encode() != minimize(lprime_fsa(g, v)).encode(), v
+
+
+# -- sign quotients ---------------------------------------------------------------
+
+def test_sign_quotient_keeps_every_count_of_the_route_factors():
+    # every per-vertex factor the series routes divide: the geodesic checker
+    # (geodesic and incl-excl), its closed complement (direct), the cyclic
+    # checker (conjugacy growth) and the checker & L'_v (incl-excl)
+    graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    for g in graphs + [path_graph(5), cycle_graph(5)]:
+        alphabet, n = g.alphabet(), g.n_vertices
+        for v in range(n):
+            checker = geo_checker(g, alphabet, v)
+            for factor in (checker, cyc_perm(complement_lang(checker)),
+                           languages._cyc_avoid(g, alphabet, v), intersect(checker, lprime_fsa(g, v))):
+                divided = automata._sign_quotient(factor, v)
+                assert growth_series(divided) == growth_series(factor), (g.edges, v)
+                got, want = automata.vertex_quotient(divided), automata.vertex_quotient(factor)
+                for mask in range(1 << n):
+                    subset = [u for u in range(n) if mask >> u & 1]
+                    assert (automata.restricted_growth_series(got, subset)
+                            == automata.restricted_growth_series(want, subset)), (g.edges, v, subset)
+
+
+def test_sign_quotient_refuses_what_the_product_lemma_excludes():
+    alphabet = SimpleGraph.make(["a"], []).alphabet()
+    # a language the swap does not fix
+    with pytest.raises(InvariantError):
+        automata._sign_quotient(single_word_dfa(alphabet, (0,)), 0)
+    # the empty language, on states the swap does not permute
+    with pytest.raises(InvariantError, match="automorphism"):
+        automata._sign_quotient(Dfa(alphabet, 2, [1, 0, 1, 1], 0, []), 0)
+    # the words that begin with x_a: the swap permutes the two sinks, and
+    # only acceptance tells them apart
+    with pytest.raises(InvariantError, match="acceptance"):
+        automata._sign_quotient(Dfa(alphabet, 3, [1, 2, 1, 1, 2, 2], 0, [1]), 0)
+    # geo_fsa is closed under every sign swap, but reads the letters of
+    # every vertex: dividing it by one vertex's swap breaks the product lemma
+    p3 = path_graph(3)
+    for v in range(3):
+        with pytest.raises(InvariantError, match="other than"):
+            automata._sign_quotient(geo_fsa(p3), v)
 
 
 # -- restriction property ---------------------------------------------------------

@@ -292,7 +292,7 @@ def test_block_series_match_per_block_automata(g):
 def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
     # the union fold is counted unminimized: Hopcroft sees only the checkers,
     # the closure pieces and the closure folds (at most 38 states on C6),
-    # never the 1,406-state union of the closures
+    # never the 248-state union of the divided closures (1,406 undivided)
     sizes = []
     real = automata.minimize
 
