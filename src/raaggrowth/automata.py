@@ -48,8 +48,8 @@ contains every lumpable one, is at least as coarse.  A partition coarser than
 Myhill-Nerode is lumpable exactly when its image on the minimal automaton is,
 so the quotient of an unminimized DFA is isomorphic to the quotient of its
 minimization: the counts are the same, and ``RationalFunction.make`` returns
-the same reduced fraction.  The folds that are only counted (the
-conjugacy-geodesic and cyclically-shortlex folds of ``languages``) therefore
+the same reduced fraction.  The products that are only counted
+(``languages._divided_fold`` and the inclusion-exclusion chain) therefore
 reach ``growth_series`` and ``vertex_quotient`` without a Hopcroft run.
 
 The lumping works on coloured transitions: ``vertex_quotient`` gives each
@@ -93,11 +93,10 @@ orbits, lumpable for every vertex colour as above, and the representative
 DFA of that partition is the product of the quotients.  A product of
 quotients therefore counts as the product of the factors, colour by colour;
 minimizing it, collapsing its constant pairs or complementing it keeps that
-(the Myhill-Nerode lemma above).  So ``_product``, ``_fold``'s ``minimize``,
-``complement_lang``, ``vertex_quotient`` and ``_signed_growth_series`` see
-the counts of the undivided product.  A factor that reads the letters of
-another vertex apart, such as the whole geodesic acceptor, is refused: its
-swap would act on two factors at once.
+(the Myhill-Nerode lemma above).  So ``_product``, ``vertex_quotient`` and
+``_signed_growth_series`` see the counts of the undivided product.  A factor
+that reads the letters of another vertex apart, such as the whole geodesic
+acceptor, is refused: its swap would act on two factors at once.
 """
 
 from __future__ import annotations
@@ -296,10 +295,10 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
     every pair holding it for good.  All pairs with the same fixed verdict are
     one constant state, X* or the empty language.  Most states that Hopcroft
     would merge in the pipeline's products are such pairs, but the result is
-    not minimized: ``intersect`` and ``union`` minimize it, ``_fold`` (the
-    ``cyc_perm`` fold and the checker folds of ``languages``) does once the
-    fold has doubled, and the counted union fold and inclusion-exclusion
-    chain of ``languages`` never do.
+    not minimized: ``intersect`` and ``union`` minimize it, ``_fold`` (in
+    ``cyc_perm`` and ``languages._acceptor``) does once the fold has doubled,
+    and the counted ``languages._divided_fold`` and inclusion-exclusion chain
+    never do.
     """
     _require_same_alphabet(a, b)
     size = a.alphabet.size
@@ -513,13 +512,15 @@ def cyc_perm(a: Dfa) -> Dfa:
 def _fold(result: Dfa, pieces, keep):
     """Fold ``pieces`` into the minimal ``result`` by ``_product`` under ``keep``.
 
-    The fold is minimized only when it has more than doubled since it was
-    last minimized (``result`` counts as minimized).  Most steps of the
-    pipeline's folds are minimal already, so Hopcroft after every step is
-    wasted work, but a fold never minimized blows up: 7.9 GB on the 437
-    pieces of the P4 conjugacy-geodesic acceptor's closure, and 10,214 raw
-    states against 258 minimal for the cyclically-shortlex checkers of co-P8.
-    Returns the fold and whether its last step minimized it.
+    ``cyc_perm`` unions its pieces this way and ``languages._acceptor``
+    intersects the checkers of every acceptor.  The fold is minimized only
+    when it has more than doubled since it was last minimized (``result``
+    counts as minimized).  Most steps of these folds are minimal already, so
+    Hopcroft after every step is wasted work, but a fold never minimized
+    blows up: 7.9 GB on the 437 pieces of the P4 conjugacy-geodesic
+    acceptor's closure, and 10,214 raw states against 258 minimal for the
+    cyclically-shortlex checkers of co-P8.  Returns the fold and whether its
+    last step minimized it.
     """
     minimal, bound = True, 2 * result.n_states
     for piece in pieces:

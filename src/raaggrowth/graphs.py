@@ -202,6 +202,9 @@ def parse_graph(text: str) -> SimpleGraph:
         raise GraphError(f"malformed graph document: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
+    unknown = sorted(set(doc) - {"vertices", "edges"})
+    if unknown:
+        raise GraphError(f"unknown graph document keys {unknown}")
     vertices = doc.get("vertices")
     edges = doc.get("edges", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
@@ -211,4 +214,7 @@ def parse_graph(text: str) -> SimpleGraph:
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
             raise GraphError(f"edge {e!r} must be a pair of vertex labels")
-    return SimpleGraph.make(vertices, edges)
+    graph = SimpleGraph.make(vertices, edges)
+    if len(graph.edges) != len(edges):
+        raise GraphError("repeated edge; the graph format has no multi-edges")
+    return graph

@@ -11,36 +11,35 @@ Given a defining graph, this module builds complete DFAs for:
 * ``cycsl_fsa``    -- words all of whose rotations are shortlex normal forms,
                       as an intersection of per-vertex cyclic checkers;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
-                      geodesic, built from one cyclic closure per vertex;
+                      geodesic, as an intersection of per-vertex closures;
 * ``lprime_fsa``   -- words with a cancelling generator pair up to rotation
                       and shuffling, used for the inclusion-exclusion route to
                       the conjugacy geodesic growth series.
 
-Each acceptor is one fold from a constant automaton, so the empty graph needs
-no branch: ``geo_fsa``, ``shortlex_fsa`` and ``cycsl_fsa`` intersect into
-X*, and ``conjgeo_fsa`` unions into the empty language.  These builders
-minimize their fold.  The series routes fold the same per-vertex factors
-after dividing each by its sign swap x_v -> x_v^-1
-(``automata._sign_quotient``): ``_divided_fold`` (the geodesic and
-cyclically-shortlex checkers), ``_conjgeo_fold`` (the closures) and the
-inclusion-exclusion chain.  Those folds accept other languages than the
-builders, with the same counts for every sum of vertex colours, and are
-counted as they are, since counting needs no minimal automaton (both lemmas
-in ``automata``).
+Each language is an intersection of conditions, one checker per vertex
+(``geo_checker``, ``_cyc_avoid``, ``_cyc_geo``), so there are two folds.
+``_acceptor`` folds the factors into X* with ``automata._fold`` and
+minimizes, so the empty graph needs no branch and every builder is
+canonical.  ``_divided_fold`` multiplies the same checkers into X* after
+dividing each by its sign swap x_v -> x_v^-1 (``automata._sign_quotient``),
+with no minimization: it accepts another language than the builder, with
+the same counts for every sum of vertex colours, and counting needs no
+minimal automaton (both lemmas in ``automata``).  The geodesic, direct
+conjugacy-geodesic and cyclically-shortlex series count it; the
+inclusion-exclusion chain multiplies divided factors of its own.
 
-The conjugacy geodesics use the identity
-``CycL = X* \\ CycPerm(X* \\ L)`` with the cyclic-permutation closure from
-``automata.cyc_perm``.  The closure distributes over union, so when L is an
-intersection of small automata L_v it can be taken piece by piece:
-``X* \\ L = union_v (X* \\ L_v)`` and ``CycPerm`` of that union is the union
-of the ``CycPerm(X* \\ L_v)``.  ``conjgeo_fsa`` does this over the minimal
-four-state geodesic checkers, which is far cheaper than closing the complement
-of the whole geodesic acceptor (hundreds of states).
+The conjugacy geodesics use De Morgan's law with the cyclic-permutation
+closure of ``automata.cyc_perm``.  The geodesics are the intersection of the
+checkers L_v, and a word is conjugacy geodesic exactly when no rotation of
+it leaves some L_v, so ``CycL = intersection_v (X* \\ CycPerm(X* \\ L_v))``.
+Closing each four-state checker's complement is far cheaper than closing the
+complement of the whole geodesic acceptor (hundreds of states).
 """
 
 from __future__ import annotations
 
-from operator import and_, or_
+from itertools import chain
+from operator import and_
 
 from .automata import (
     Dfa,
@@ -51,7 +50,6 @@ from .automata import (
     all_words_dfa,
     complement_lang,
     cyc_perm,
-    empty_language_dfa,
     intersect,
     minimize,
     restricted_growth_series,
@@ -60,6 +58,32 @@ from .automata import (
 )
 from .graphs import GraphError, OrderedAlphabet, SimpleGraph
 from .series import RationalFunction
+
+
+# ---------------------------------------------------------------------------
+# the two folds: acceptors and counted products
+# ---------------------------------------------------------------------------
+
+def _acceptor(alphabet: OrderedAlphabet, factors) -> Dfa:
+    """The intersection of ``factors``, folded into X* by ``automata._fold`` and minimized."""
+    return minimize(_fold(all_words_dfa(alphabet), factors, and_)[0])
+
+
+def _divided_fold(g: SimpleGraph, checker) -> Dfa:
+    """Each ``checker(g, alphabet, v)`` divided by its sign swap, multiplied into X* in turn.
+
+    Each checker goes through ``automata._sign_quotient(checker, v)`` and the
+    quotients through reachable ``automata._product``s, never minimized: the
+    divided cyclically-shortlex checkers of co-P8 stay at 1,423 states.  The
+    result does not accept the intersection of the checkers, but by the
+    product lemma in ``automata`` it counts the same words for every sum of
+    vertex colours; it is only counted.
+    """
+    alphabet = g.alphabet()
+    result = all_words_dfa(alphabet)
+    for v in range(g.n_vertices):
+        result = _product(result, _sign_quotient(checker(g, alphabet, v), v), and_)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +121,9 @@ def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
 
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
-    """Geodesic words of the group: all per-vertex checkers intersected into X*."""
+    """Geodesic words of the group: the ``_acceptor`` of the per-vertex checkers."""
     alphabet = g.alphabet()
-    result = all_words_dfa(alphabet)
-    for v in range(g.n_vertices):
-        result = intersect(result, geo_checker(g, alphabet, v))
-    return result
+    return _acceptor(alphabet, (geo_checker(g, alphabet, v) for v in range(g.n_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +156,10 @@ def shortlex_fsa(g: SimpleGraph) -> Dfa:
     on Z^n the threats leave n + 1 states, where ``geo_fsa`` has 3^n.
     """
     alphabet = g.alphabet()
-    result = all_words_dfa(alphabet)
-    for u, w in sorted(g.edges):
-        for a in alphabet.vertex_letters(u):
-            for b in alphabet.vertex_letters(w):
-                result = intersect(result, lex_threat(g, alphabet, a, b))  # u < w, so a < b
-    for v in range(g.n_vertices):
-        result = intersect(result, geo_checker(g, alphabet, v))
-    return result
+    threats = (lex_threat(g, alphabet, a, b) for u, w in sorted(g.edges)  # u < w, so a < b
+               for a in alphabet.vertex_letters(u) for b in alphabet.vertex_letters(w))
+    checkers = (geo_checker(g, alphabet, v) for v in range(g.n_vertices))
+    return _acceptor(alphabet, chain(threats, checkers))
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +181,12 @@ def support_require(alphabet: OrderedAlphabet, v: int) -> Dfa:
 
 
 def support_exact(language: Dfa, alphabet: OrderedAlphabet, subset) -> Dfa:
-    """Restrict to words whose support is exactly ``subset``."""
+    """Restrict to words whose support is exactly ``subset``: an ``_acceptor`` from ``language``."""
     subset = set(subset)
-    result = language
-    for v in sorted(subset):
-        result = intersect(result, support_require(alphabet, v))
-    for v in range(alphabet.size // 2):
-        if v not in subset:
-            result = intersect(result, complement_lang(support_require(alphabet, v)))
-    return result
+    required = (support_require(alphabet, v) for v in sorted(subset))
+    excluded = (complement_lang(support_require(alphabet, v))
+                for v in range(alphabet.size // 2) if v not in subset)
+    return _acceptor(alphabet, chain([language], required, excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -221,77 +235,30 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     in f s' with s' commuting with l.  Neither f nor s' is l, so f s' ends u,
     and the rotation u p l holds the factor f s' p l.
 
-    So the language is the intersection of the ``_cyc_avoid(v)``, folded
-    into X* in vertex order by ``automata._fold`` and minimized.  The fold
-    minimizes only when it has doubled: minimizing every step is wasted work
-    on paths and cycles, and never minimizing blows up on dense blocks.  The
-    reverse vertex order measured 7-80x slower on co-C8 and co-P8.
+    So the language is the ``_acceptor`` of the ``_cyc_avoid(v)`` in vertex
+    order.  Its fold minimizes only when it has doubled: minimizing every
+    step is wasted work on paths and cycles, and never minimizing blows up on
+    dense blocks.  The reverse vertex order measured 7-80x slower on co-C8
+    and co-P8.
     """
     alphabet = g.alphabet()
-    checkers = (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices))
-    return minimize(_fold(all_words_dfa(alphabet), checkers, and_)[0])
+    return _acceptor(alphabet, (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices)))
 
 
-def _divided_fold(g: SimpleGraph, checker) -> Dfa:
-    """Every ``checker(g, alphabet, v)`` divided by its sign swap, folded into X* in vertex order.
+def _cyc_geo(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Words all of whose rotations ``geo_checker(v)`` accepts: X* \\ CycPerm(X* \\ L_v).
 
-    Each checker goes through ``automata._sign_quotient(checker, v)`` and the
-    quotients through ``automata._fold``, as in ``cycsl_fsa``, with no
-    minimization at the end.  The fold does not accept the intersection of the
-    checkers, but by the product lemma in ``automata`` it counts the same
-    words for every sum of vertex colours; it is only counted.
+    The closure is closed under x_v -> x_v^-1 and reads the two letters of any
+    other vertex alike, so ``automata._sign_quotient`` divides its complement;
+    the division comes after the closure, since the two do not commute.
     """
-    alphabet = g.alphabet()
-    factors = (_sign_quotient(checker(g, alphabet, v), v) for v in range(g.n_vertices))
-    return _fold(all_words_dfa(alphabet), factors, and_)[0]
-
-
-def _cycsl_fold(g: SimpleGraph) -> Dfa:
-    """``_divided_fold(g, _cyc_avoid)``: the counts of ``cycsl_fsa``, vertex colour by colour."""
-    return _divided_fold(g, _cyc_avoid)
+    return complement_lang(cyc_perm(complement_lang(geo_checker(g, alphabet, v))))
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
-    """Conjugacy geodesic words (= words with every rotation geodesic).
-
-    The geodesics are the intersection of the per-vertex checkers L_v, so a
-    word fails to be conjugacy geodesic exactly when some rotation of it is
-    rejected by some checker: the non-conjugacy-geodesics are the union over
-    v of CycPerm(X* \\ L_v), since the closure distributes over union.  That
-    ``_union_fold`` of the ``_closures`` is minimized once and complemented.
-    """
-    return complement_lang(minimize(_union_fold(g, _closures(g))))
-
-
-def _closures(g: SimpleGraph):
-    """CycPerm(X* \\ L_v) for each vertex v in turn, L_v the minimal four-state checker."""
+    """Conjugacy geodesics, whose every rotation is geodesic: the ``_acceptor`` of the ``_cyc_geo``."""
     alphabet = g.alphabet()
-    return (cyc_perm(complement_lang(geo_checker(g, alphabet, v))) for v in range(g.n_vertices))
-
-
-def _union_fold(g: SimpleGraph, parts) -> Dfa:
-    """The union of the automata ``parts``, folded by reachable products into the empty language.
-
-    Every step of the undivided fold measured already minimal, so the fold is
-    never minimized.
-    """
-    rejected = empty_language_dfa(g.alphabet())
-    for part in parts:
-        rejected = _product(rejected, part, or_)
-    return rejected
-
-
-def _conjgeo_fold(g: SimpleGraph) -> Dfa:
-    """The ``_union_fold`` of the ``_closures``, each divided by its sign swap first.
-
-    Each closure is closed under x_v -> x_v^-1 and reads the two letters of
-    any other vertex alike, so ``automata._sign_quotient`` divides it; the
-    union is taken after the closures, which do not commute with the
-    division.  The fold does not accept the words of ``conjgeo_fsa``'s
-    complement, but by the product lemma in ``automata`` its complement
-    counts the conjugacy geodesics: the series route counts it as it is.
-    """
-    return _union_fold(g, map(_sign_quotient, _closures(g), range(g.n_vertices)))
+    return _acceptor(alphabet, (_cyc_geo(g, alphabet, v) for v in range(g.n_vertices)))
 
 
 def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
@@ -315,9 +282,9 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
 
     G_T counts the cyclically-shortlex words over the letters of T (G_empty =
     1, the empty word).  Cyclic shortlex restricts compatibly to letter
-    subsets, so every G_T is read off one ``_cycsl_fold`` of the subgraph on
-    ``vertices``, lumped once with one colour per vertex
-    (``automata.vertex_quotient``) and never minimized: the quotient of the
+    subsets, so every G_T is read off one ``_divided_fold`` of the
+    ``_cyc_avoid`` checkers of the subgraph on ``vertices``, lumped once with
+    one colour per vertex (``automata.vertex_quotient``): the quotient of the
     fold is that of ``cycsl_fsa`` (lemma in ``automata``).  Mobius inversion
     on the subset lattice, F_B = sum over T in B of (-1)^|B \\ T| G_T, runs
     for all B at once as the fast subset transform (Yates; Bjorklund,
@@ -337,7 +304,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     """
     vertices = sorted(set(vertices))
     k = len(vertices)
-    quotient = vertex_quotient(_cycsl_fold(g.induced_subgraph(vertices)))
+    quotient = vertex_quotient(_divided_fold(g.induced_subgraph(vertices), _cyc_avoid))
     table = [RationalFunction.make([1])] + [
         restricted_growth_series(quotient, [i for i in range(k) if mask >> i & 1])
         for mask in range(1, 1 << k)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import complement_lang, growth_series
+from .automata import growth_series
 from .graphs import GraphError, SimpleGraph
 from .languages import (
-    _conjgeo_fold,
+    _cyc_geo,
     _divided_fold,
     conjgeo_series_incl_excl,
     cycsl_support_table,
@@ -82,6 +82,8 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
         for block, rf in cycsl_support_table(g, top).items():
             if g.is_indecomposable(block):
                 per_subset[block] = (rf, rho(rf.expand(degree)))
+            elif rf.num != (0,):  # F_B = 0 by the decomposable-block lemma of cycsl_support_table
+                raise InvariantError(f"decomposable block {block} has a nonzero series")
 
     total = PowerSeries.one(degree)
     for mask in range(1, 1 << n):
@@ -113,14 +115,13 @@ def geodesic_series(g: SimpleGraph) -> RationalFunction:
 def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunction:
     """Conjugacy geodesic growth series.
 
-    ``direct`` counts the conjugacy geodesic automaton built through the
-    cyclic closure: the complement of ``languages._conjgeo_fold``, whose
-    closures are divided by their sign swaps, unminimized;
+    ``direct`` counts the ``languages._divided_fold`` of the per-vertex
+    cyclic closures ``_cyc_geo``, whose intersection is ``conjgeo_fsa``;
     ``incl-excl`` evaluates the alternating sum over vertex subsets.  The two
     routes are independent and must agree.
     """
     if method == "direct":
-        return growth_series(complement_lang(_conjgeo_fold(g)))
+        return growth_series(_divided_fold(g, _cyc_geo))
     if method == "incl-excl":
         return conjgeo_series_incl_excl(g)
     raise ValueError(f"unknown method {method!r}; expected 'direct' or 'incl-excl'")

@@ -6,7 +6,7 @@ import pytest
 from raaggrowth import cli, oracle, pipeline
 from raaggrowth.cli import EXIT_INVARIANT, MAX_DEGREE, MAX_VERTICES, main
 from raaggrowth.oracle import ORACLE_MAX_WORDS
-from raaggrowth.series import PowerSeries
+from raaggrowth.series import PowerSeries, RationalFunction
 
 
 @pytest.fixture
@@ -43,6 +43,24 @@ def test_conj_growth_invariant_failure_exit_code(capsys, monkeypatch, z2_file):
     code = main(["conj-growth", "--graph", z2_file, "--max-degree", "4"])
     captured = capsys.readouterr()
     assert code == EXIT_INVARIANT and EXIT_INVARIANT not in (0, 1, 2)
+    assert captured.out == "" and "internal error" in captured.err
+
+
+def test_conj_growth_nonzero_decomposable_block_exit_code(capsys, monkeypatch, tmp_path):
+    # the table's decomposable keys are dropped only after they are seen to be 0
+    path = tmp_path / "p4.json"
+    path.write_text('{"vertices":["a","b","c","d"],"edges":[["a","b"],["b","c"],["c","d"]]}')
+    real = pipeline.cycsl_support_table
+
+    def table(g, vertices):
+        result = real(g, vertices)
+        result[(0, 1)] = RationalFunction.make([0, 1])  # {a, b} = {a} x {b} is decomposable
+        return result
+
+    monkeypatch.setattr(pipeline, "cycsl_support_table", table)
+    code = main(["conj-growth", "--graph", str(path), "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
     assert captured.out == "" and "internal error" in captured.err
 
 
@@ -242,6 +260,14 @@ def test_malformed_graph_file(capsys, tmp_path):
     path.write_text('{"vertices":["a","a"],"edges":[]}')
     code, _ = run(capsys, "std-growth", "--graph", str(path))
     assert code == 1
+
+
+def test_graph_document_with_unknown_key_is_refused(capsys, tmp_path):
+    # an "edge" typo would otherwise leave F2 where Z^2 was meant
+    path = tmp_path / "typo.json"
+    path.write_text('{"vertices":["a","b"],"edge":[["a","b"]]}')
+    code, out = run(capsys, "std-growth", "--graph", str(path), "--pretty")
+    assert code == 1 and out == ""
 
 
 def test_pretty_output(capsys, z2_file):

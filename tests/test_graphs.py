@@ -25,6 +25,8 @@ def test_parse_path_graph():
         '{"vertices":["a","a"],"edges":[]}',         # duplicate label
         '{"vertices":["a"],"edges":[["a","b"]]}',    # unknown endpoint
         '{"vertices":"a","edges":[]}',               # malformed vertices
+        '{"vertices":["a","b"],"edge":[["a","b"]]}',  # unknown key
+        '{"vertices":["a","b"],"edges":[["a","b"],["b","a"]]}',  # repeated edge
         'not json',
     ],
 )

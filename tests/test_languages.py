@@ -123,16 +123,23 @@ def test_shortlex_free_group_counts(f2):
 
 def test_shortlex_fsa_keeps_every_intersection_small(monkeypatch):
     # the threats go into X* before the checkers, so Z^8 never carries the
-    # 3^8 = 6,561 states of its geodesic acceptor through an intersection
-    original = languages.intersect
+    # 3^8 = 6,561 states of its geodesic acceptor through a product or a
+    # minimization of the fold
+    real_product, real_minimize = automata._product, automata.minimize
     sizes = []
 
-    def spy(a, b):
-        result = original(a, b)
+    def product_spy(a, b, keep):
+        result = real_product(a, b, keep)
         sizes.extend((a.n_states, b.n_states, result.n_states))
         return result
 
-    monkeypatch.setattr(languages, "intersect", spy)
+    def minimize_spy(dfa):
+        sizes.append(dfa.n_states)
+        return real_minimize(dfa)
+
+    monkeypatch.setattr(automata, "_product", product_spy)
+    for module in (automata, languages):
+        monkeypatch.setattr(module, "minimize", minimize_spy)
     shortlex_fsa(complete_graph(8))
     assert sizes and max(sizes) <= 64
 
@@ -592,6 +599,23 @@ def test_sign_quotient_keeps_every_count_of_the_route_factors():
                     subset = [u for u in range(n) if mask >> u & 1]
                     assert (automata.restricted_growth_series(got, subset)
                             == automata.restricted_growth_series(want, subset)), (g.edges, v, subset)
+
+
+@pytest.mark.parametrize("checker, build", [
+    (geo_checker, geo_fsa), (languages._cyc_geo, conjgeo_fsa), (languages._cyc_avoid, cycsl_fsa),
+], ids=["geodesic", "conjugacy-geodesic", "cyclically-shortlex"])
+def test_divided_fold_counts_its_acceptor_for_every_letter_restriction(checker, build):
+    # the counted fold accepts another language than the builder's acceptor,
+    # with the same growth series on the letters of every vertex subset
+    graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    for g in graphs + [path_graph(5), cycle_graph(5)]:
+        n = g.n_vertices
+        got = automata.vertex_quotient(languages._divided_fold(g, checker))
+        want = automata.vertex_quotient(build(g))
+        for mask in range(1 << n):
+            subset = [u for u in range(n) if mask >> u & 1]
+            assert (automata.restricted_growth_series(got, subset)
+                    == automata.restricted_growth_series(want, subset)), (g.edges, subset)
 
 
 def test_sign_quotient_refuses_what_the_product_lemma_excludes():

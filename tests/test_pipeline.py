@@ -313,13 +313,14 @@ def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
 ])
 def test_one_closure_per_maximal_block(g, monkeypatch):
     closed = []
-    real = languages._cycsl_fold
+    real = languages._divided_fold
 
-    def recording(induced):
-        closed.append(induced.vertices)
-        return real(induced)
+    def recording(induced, checker):
+        if checker is languages._cyc_avoid:
+            closed.append(induced.vertices)
+        return real(induced, checker)
 
-    monkeypatch.setattr(languages, "_cycsl_fold", recording)
+    monkeypatch.setattr(languages, "_divided_fold", recording)
     spherical_conj_series(g, 6)
     maximal = [tuple(g.vertices[v] for v in block) for block in g.decompose(range(g.n_vertices))]
     assert len(maximal) > 1
