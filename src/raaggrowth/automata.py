@@ -15,6 +15,20 @@ Minimized automata are renumbered canonically (breadth-first from the initial
 state in letter order), so two automata accept the same language exactly when
 their encodings coincide.
 
+``_pullback`` reads an automaton through a letter-to-letter map.  Lemma: let
+h map the letters of X to those of Y, and let A be a complete DFA over Y.
+The DFA over X with A's states, initial state and accept set, whose row of
+q reads delta_A(q, h(x)) under x, accepts the inverse image h^-1(L(A)).
+Inverse images commute with complement (the same rows, acceptance flipped),
+with products (the pullback of A x B is, pair for pair, the product of the
+pullbacks) and with cyclic closure: h maps a rotation v u of u v to the
+rotation h(v) h(u) of h(u v), and h keeps lengths, so a rotation of h(w)
+cuts h(w) between two letters and is h of a rotation of w.  A language built
+by these operations from automata that read a letter only by its class in
+h is therefore the pullback of the same construction on the classes, and
+``minimize``, canonical, gives the pullback the encoding of the direct
+construction over X.
+
 ``growth_series`` produces the generating function counting accepted words by
 length, as an exact integer rational function.  It works for any coefficient
 size: counts are computed with Python big ints, and every returned fraction is
@@ -351,6 +365,20 @@ def complement_lang(a: Dfa) -> Dfa:
     """
     flipped = set(range(a.n_states)) - a.accepting
     return Dfa(a.alphabet, a.n_states, a.transitions, a.initial, flipped)
+
+
+def _pullback(model: Dfa, alphabet: OrderedAlphabet, vertex_map) -> Dfa:
+    """The inverse image of L(model) under the letter map 2u + e -> 2 vertex_map[u] + e.
+
+    The result has the model's states, initial state and accept set, and the
+    row of each state q is q's model row read through the letter map (lemma
+    in the module docstring).  It is not minimized: states the map does not
+    reach stay, and the numbering follows the model's.
+    """
+    size, rows = model.alphabet.size, model.transitions
+    letters = [2 * w + e for w in vertex_map for e in (0, 1)]
+    table = [rows[q + y] for q in range(0, model.n_states * size, size) for y in letters]
+    return Dfa(alphabet, model.n_states, table, model.initial, model.accepting)
 
 
 # ---------------------------------------------------------------------------

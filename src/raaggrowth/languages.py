@@ -32,8 +32,22 @@ The conjugacy geodesics use De Morgan's law with the cyclic-permutation
 closure of ``automata.cyc_perm``.  The geodesics are the intersection of the
 checkers L_v, and a word is conjugacy geodesic exactly when no rotation of
 it leaves some L_v, so ``CycL = intersection_v (X* \\ CycPerm(X* \\ L_v))``.
-Closing each four-state checker's complement is far cheaper than closing the
-complement of the whole geodesic acceptor (hundreds of states).
+Closing the four-state checker's complement is far cheaper than closing the
+complement of the whole geodesic acceptor (hundreds of states), and on the
+models below it is closed once, at import, for every vertex of every graph.
+
+Every per-vertex factor reads a letter only by its class: a letter of v, a
+letter of a neighbour of v, or any other letter (``_cyc_avoid`` also asks
+whether a neighbour comes before or after v).  So each factor is built once,
+at import, by its direct constructor (``_geo_checker_direct``,
+``_lprime_direct``, ``_cyc_avoid_direct``) on a model graph whose vertices
+are the classes, and pulled back to every vertex of a real graph by
+``automata._pullback`` under the class map (``_classes``,
+``_ordered_classes``).  The pullback lemma in ``automata`` carries
+complement, products and cyclic closure through the map, so the minimized
+pullback is byte for byte the factor the direct constructor would build on
+the whole alphabet, and no vertex takes a closure, a product or a union of
+its own.  ``_cyc_avoid`` is the raw pullback, already its direct table.
 """
 
 from __future__ import annotations
@@ -45,6 +59,7 @@ from .automata import (
     Dfa,
     _fold,
     _product,
+    _pullback,
     _sign_quotient,
     _signed_growth_series,
     all_words_dfa,
@@ -87,6 +102,30 @@ def _divided_fold(g: SimpleGraph, checker) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
+# letter-class models
+# ---------------------------------------------------------------------------
+
+_PAIR = SimpleGraph.make(["v", "n", "f"], [["v", "n"]])  # a vertex, a neighbour, a far vertex
+_CHAIN = SimpleGraph.make(["s", "v", "b", "f"], [["s", "v"], ["v", "b"]])  # s < v < b
+
+
+def _classes(g: SimpleGraph, v: int) -> list:
+    """The vertex map onto ``_PAIR``: v to v, its neighbours to n, every other vertex to f."""
+    near = g.neighbors(v)  # raises GraphError on an unknown vertex
+    return [0 if u == v else 1 if u in near else 2 for u in range(g.n_vertices)]
+
+
+def _ordered_classes(g: SimpleGraph, v: int) -> list:
+    """The vertex map onto ``_CHAIN``: v to v, its neighbours below and above v to s and b.
+
+    Every other vertex goes to f.  The letters of a neighbour of v all come
+    before those of v or all after them, as in the model.
+    """
+    near = g.neighbors(v)
+    return [1 if u == v else 3 if u not in near else 0 if u < v else 2 for u in range(g.n_vertices)]
+
+
+# ---------------------------------------------------------------------------
 # geodesic checkers
 # ---------------------------------------------------------------------------
 
@@ -107,17 +146,27 @@ def _avoid(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> 
     return Dfa(alphabet, 3, table, idle, {idle, threat})
 
 
-def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+def _geo_checker_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     """Minimal checker rejecting words where some shuffle cancels an x_v pair.
 
     Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
     with every letter of s on a vertex adjacent to v: the two ``_avoid``
     automata for e = +1 and e = -1, intersected into four states.
     """
-    if not 0 <= v < g.n_vertices:
-        raise GraphError(f"unknown vertex index {v}")
     pos, neg = alphabet.vertex_letters(v)
     return intersect(_avoid(g, alphabet, pos, neg), _avoid(g, alphabet, neg, pos))
+
+
+_GEO = _geo_checker_direct(_PAIR, _PAIR.alphabet(), 0)
+
+
+def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
+
+    The minimized pullback of the model ``_GEO`` through ``_classes(g, v)``:
+    the automaton ``_geo_checker_direct(g, alphabet, v)`` builds.
+    """
+    return minimize(_pullback(_GEO, alphabet, _classes(g, v)))
 
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
@@ -193,7 +242,7 @@ def support_exact(language: Dfa, alphabet: OrderedAlphabet, subset) -> Dfa:
 # cyclically constrained languages
 # ---------------------------------------------------------------------------
 
-def _cyc_avoid(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     """Words with no factor ``f s l``, l a letter of v, not even wrapped around the end.
 
     f is l^-1 or a letter b > l on a vertex adjacent to v, and s commutes with
@@ -218,6 +267,21 @@ def _cyc_avoid(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     table += [dead] * alphabet.size
     wrapped = {4 * (1 + i) + bits for i in (0, 1) for bits in (1 << i, 3)}
     return Dfa(alphabet, 17, table, 0, set(range(16)) - wrapped)
+
+
+_CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
+
+
+def _cyc_avoid(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """``_cyc_avoid_direct(g, alphabet, v)``, its table pulled back from ``_CYC_AVOID``.
+
+    The direct table reads a letter x only through whether it is a letter of
+    v and which, whether its vertex is adjacent to v, and for such a letter
+    whether x > l for a letter l of v, that is whether its vertex comes after
+    v: the four classes of ``_ordered_classes``.  So the raw pullback is that
+    table, state for state, with no minimization.
+    """
+    return _pullback(_CYC_AVOID, alphabet, _ordered_classes(g, v))
 
 
 def cycsl_fsa(g: SimpleGraph) -> Dfa:
@@ -245,14 +309,21 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     return _acceptor(alphabet, (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices)))
 
 
+_CYC_GEO = complement_lang(cyc_perm(complement_lang(_GEO)))
+
+
 def _cyc_geo(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     """Words all of whose rotations ``geo_checker(v)`` accepts: X* \\ CycPerm(X* \\ L_v).
 
-    The closure is closed under x_v -> x_v^-1 and reads the two letters of any
-    other vertex alike, so ``automata._sign_quotient`` divides its complement;
-    the division comes after the closure, since the two do not commute.
+    Cyclic closure and complement commute with inverse letter maps (lemma in
+    ``automata``), so this is the minimized pullback of ``_CYC_GEO``, the
+    closed complement of the model checker ``_GEO``, taken once at import
+    (11 states): no vertex takes a ``cyc_perm`` of its own.  The closure is
+    closed under x_v -> x_v^-1 and reads the two letters of any other vertex
+    alike, so ``automata._sign_quotient`` divides its complement; the
+    division comes after the closure, since the two do not commute.
     """
-    return complement_lang(cyc_perm(complement_lang(geo_checker(g, alphabet, v))))
+    return minimize(_pullback(_CYC_GEO, alphabet, _classes(g, v)))
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
@@ -347,7 +418,7 @@ def _bracket(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -
     return Dfa(alphabet, 4, table, start, {closed})
 
 
-def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
+def _lprime_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     """Words w1 x_v^e w2 x_v^-e w3 with w1, w3 over the neighbors of v.
 
     These are exactly the words that, after some rotation and shuffling,
@@ -356,11 +427,30 @@ def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
     vertex is not a neighbor of v; symmetrically for the closing letter.  The
     minimal union of the two ``_bracket`` automata, one per sign e.
     """
-    if not 0 <= v < g.n_vertices:
-        raise GraphError(f"unknown vertex index {v}")
-    alphabet = g.alphabet()
     pos, neg = alphabet.vertex_letters(v)
     return union(_bracket(g, alphabet, pos, neg), _bracket(g, alphabet, neg, pos))
+
+
+_LPRIME = _lprime_direct(_PAIR, _PAIR.alphabet(), 0)
+_GEO_LPRIME = intersect(_GEO, _LPRIME)
+
+
+def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
+    """Words w1 x_v^e w2 x_v^-e w3 with w1, w3 over the neighbors of v.
+
+    The minimized pullback of the model ``_LPRIME`` through ``_classes(g, v)``:
+    the automaton ``_lprime_direct(g, g.alphabet(), v)`` builds.
+    """
+    return minimize(_pullback(_LPRIME, g.alphabet(), _classes(g, v)))
+
+
+def _geo_lprime(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """``intersect(geo_checker(g, alphabet, v), lprime_fsa(g, v))``, L_v & L'_v.
+
+    The minimized pullback of the model ``_GEO_LPRIME``, the intersection of
+    the two models, through ``_classes(g, v)``.
+    """
+    return minimize(_pullback(_GEO_LPRIME, alphabet, _classes(g, v)))
 
 
 def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
@@ -370,7 +460,7 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     subset T, the geodesics that carry a shuffle-rotatable cancelling pair at
     each vertex of T, with alternating signs.  Those words are the
     intersection over v of L_v (``geo_checker``) for v outside T and of
-    L_v & L'_v (``lprime_fsa``) for v in T, so each vertex has two factors,
+    L_v & L'_v (``_geo_lprime``) for v in T, so each vertex has two factors,
     each divided by its sign swap (``automata._sign_quotient``).  The product
     lemma in ``automata`` makes the product of the divided factors count the
     same words; ``geo_fsa`` itself could not be divided, since it reads the
@@ -391,11 +481,10 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     factors and one lumped quotient per nonempty term.
     """
     alphabet = g.alphabet()
-    factors = []  # per vertex v: (+1, L_v) and (-1, L_v & L'_v), divided
-    for v in range(g.n_vertices):
-        checker = geo_checker(g, alphabet, v)
-        factors.append(((1, _sign_quotient(checker, v)),
-                        (-1, _sign_quotient(intersect(checker, lprime_fsa(g, v)), v))))
+    # per vertex v: (+1, L_v) and (-1, L_v & L'_v), divided
+    factors = [((1, _sign_quotient(geo_checker(g, alphabet, v), v)),
+                (-1, _sign_quotient(_geo_lprime(g, alphabet, v), v)))
+               for v in range(g.n_vertices)]
 
     def terms(automaton: Dfa, sign: int, v: int):
         # (sign * (-1)^|T|, automaton & the factors of v..n-1 that T picks), T in {v, ..., n-1}

@@ -579,6 +579,39 @@ def test_conjgeo_routes_share_no_automaton(g):
         assert closed.encode() != minimize(lprime_fsa(g, v)).encode(), v
 
 
+# -- letter-class models ------------------------------------------------------------
+
+def test_per_vertex_factors_equal_their_direct_constructions():
+    # each per-vertex factor is its model pulled back through the vertex's
+    # class map; the direct constructors on g itself must build the same
+    # automaton byte for byte, the raw 17-state cyclic checker included
+    graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    for g in graphs + [path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)]:
+        alphabet = g.alphabet()
+        for v in range(g.n_vertices):
+            checker = languages._geo_checker_direct(g, alphabet, v)
+            lprime = languages._lprime_direct(g, alphabet, v)
+            for got, want in [
+                (geo_checker(g, alphabet, v), checker),
+                (lprime_fsa(g, v), lprime),
+                (languages._cyc_geo(g, alphabet, v),
+                 complement_lang(cyc_perm(complement_lang(checker)))),
+                (languages._cyc_avoid(g, alphabet, v), languages._cyc_avoid_direct(g, alphabet, v)),
+                (languages._geo_lprime(g, alphabet, v), intersect(checker, lprime)),
+            ]:
+                assert got.encode() == want.encode(), (g.vertices, sorted(g.edges), v)
+
+
+def test_letter_class_models_stay_tiny():
+    # the five models are all the per-vertex work done at import: the
+    # checker, its closed complement, L'_v, their intersection, and the
+    # cyclic checker, on the model graphs of 3 and 4 vertices
+    models = [languages._GEO, languages._CYC_GEO, languages._LPRIME, languages._GEO_LPRIME,
+              languages._CYC_AVOID]
+    assert [m.n_states for m in models] == [4, 11, 6, 8, 17]
+    assert [m.alphabet.size for m in models] == [6, 6, 6, 6, 8]
+
+
 # -- sign quotients ---------------------------------------------------------------
 
 def test_sign_quotient_keeps_every_count_of_the_route_factors():

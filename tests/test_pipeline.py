@@ -1,4 +1,5 @@
 import json
+import random
 from math import prod
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import (
     all_three_vertex_graphs,
     complete_graph,
     cycle_graph,
+    labelled_graphs,
     path_graph,
     small_graphs,
     z_star_zn,
@@ -290,9 +292,12 @@ def test_block_series_match_per_block_automata(g):
 
 
 def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
-    # the union fold is counted unminimized: Hopcroft sees only the checkers,
-    # the closure pieces and the closure folds (at most 38 states on C6),
-    # never the 248-state union of the divided closures (1,406 undivided)
+    # the direct route counts the fold _divided_fold(g, _cyc_geo) unminimized
+    # (248 states on C6, 1,406 undivided): Hopcroft sees only the 11-state
+    # pullback of the closed checker complement, once per vertex, and no
+    # closure.  Incl-excl minimizes the 4- and 8-state pullbacks of L_v and
+    # L_v & L'_v
+    g = cycle_graph(6)
     sizes = []
     real = automata.minimize
 
@@ -302,9 +307,10 @@ def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
 
     monkeypatch.setattr(automata, "minimize", spy)
     monkeypatch.setattr(languages, "minimize", spy)
-    assert conj_geodesic_series(cycle_graph(6), "direct") == conj_geodesic_series(
-        cycle_graph(6), "incl-excl")
-    assert sizes and max(sizes) <= 64
+    direct = conj_geodesic_series(g, "direct")
+    assert sizes == [11] * g.n_vertices
+    assert direct == conj_geodesic_series(g, "incl-excl")
+    assert sizes and max(sizes) <= 11
 
 
 @pytest.mark.parametrize("g", [
@@ -373,3 +379,26 @@ def test_series_invariant_under_relabeling(pair):
     for method in ("direct", "incl-excl"):
         assert conj_geodesic_series(relabeled, method) == conj_geodesic_series(g, method)
     assert spherical_conj_series(relabeled, 8).sigma_tilde == spherical_conj_series(g, 8).sigma_tilde
+
+
+def _report_by_labels(report):
+    # the report with every block named by its set of labels, which a
+    # relabelling keeps
+    labels = report.graph.vertices
+    return (report.degree, report.sigma_tilde,
+            {frozenset(labels[v] for v in block): value for block, value in report.per_subset.items()})
+
+
+def test_conj_growth_report_invariant_under_random_relabelling():
+    # the vertex order fixes the letter order, and with it cyclic shortlex and
+    # the ordered class map of the cyclic checker _cyc_avoid; no block
+    # fraction, no rho of one and no sigma~ coefficient may depend on it
+    rng = random.Random(20261020)
+    graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    for g in graphs + [path_graph(5), cycle_graph(5)]:
+        edges = [(g.vertices[i], g.vertices[j]) for i, j in g.edges]
+        want = _report_by_labels(spherical_conj_series(g, 8))
+        for _ in range(2):
+            order = rng.sample(g.vertices, len(g.vertices))
+            got = _report_by_labels(spherical_conj_series(SimpleGraph.make(order, edges), 8))
+            assert got == want, (g.vertices, sorted(g.edges), order)
