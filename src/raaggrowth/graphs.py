@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -124,6 +125,15 @@ class SimpleGraph:
             raise GraphError(f"unknown vertex index {v}")
         return frozenset(j for j in range(self.n_vertices) if self.adjacent(v, j))
 
+    @cached_property
+    def _adjacency(self) -> list[int]:
+        """Neighbour bitmask of every vertex: bit j of entry i is set when i and j are adjacent."""
+        adjacency = [0] * self.n_vertices
+        for i, j in self.edges:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+        return adjacency
+
     def complement(self) -> "SimpleGraph":
         n = self.n_vertices
         edges = frozenset(
@@ -174,17 +184,30 @@ class SimpleGraph:
     def decompose(self, subset) -> tuple[tuple[int, ...], ...]:
         """Ordered components of the complement graph restricted to ``subset``.
 
-        Blocks are sorted tuples of vertex indices, ordered by least member.
+        Blocks are sorted tuples of vertex indices, ordered by least member:
+        a breadth-first search on complement neighbour masks from the least
+        vertex not yet placed.
         """
         subset = sorted(set(subset))
         if not subset:
             raise GraphError("cannot decompose the empty subset")
-        restricted = self.complement().induced_subgraph(subset)
-        blocks = [
-            tuple(sorted(subset[k] for k in component))
-            for component in restricted.connected_components()
-        ]
-        blocks.sort(key=lambda block: block[0])
+        for v in subset:
+            if not 0 <= v < self.n_vertices:
+                raise GraphError(f"unknown vertex index {v}")
+        adjacency = self._adjacency
+        rest = sum(1 << v for v in subset)
+        blocks = []
+        while rest:
+            block = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                for v in subset:
+                    if frontier >> v & 1:
+                        reach |= ~adjacency[v]
+                frontier = reach & rest & ~block
+                block |= frontier
+            rest &= ~block
+            blocks.append(tuple(v for v in subset if block >> v & 1))
         return tuple(blocks)
 
     def is_indecomposable(self, subset) -> bool:
@@ -192,6 +215,80 @@ class SimpleGraph:
         if not subset:
             return False
         return len(self.decompose(subset)) == 1
+
+    # -- isomorphism classes of induced subgraphs ---------------------------
+
+    def _canonical_code(self, mask: int) -> tuple[int, int]:
+        """Exact canonical code of the subgraph induced on the vertex bitmask ``mask``.
+
+        Two vertex sets get equal codes exactly when their induced subgraphs
+        are isomorphic, whatever graph each lies in.  The code is (k, c) for
+        k vertices, with c the largest adjacency word over a set of vertex
+        orders; the word of v_0 ... v_{k-1} holds one bit per pair v_j v_i,
+        j < i, set on an edge, row i after row i - 1.
+
+        The orders are the leaves of a search on ordered partitions of the
+        vertices.  ``_refine`` splits each cell by signature (the number of
+        neighbours in every cell) until no cell splits; the search then
+        branches on the first cell left with more than one vertex, putting
+        each of its vertices in turn in a cell of its own in front of the
+        rest, and refines again.  Every step commutes with isomorphisms, so
+        isomorphic subgraphs reach the same set of words, and every word is
+        the adjacency of one order, so it fixes the subgraph up to
+        isomorphism.  A vertex w is skipped when a twin u was tried before it
+        in the same cell: swapping twins (N(u) - {w} = N(w) - {u}) is an
+        automorphism that fixes every cell, and it carries u's leaves onto
+        w's with the same words.  So no hash or invariant stands in for an
+        isomorphism test, and the twins of edgeless and complete graphs
+        leave one branch per level.
+        """
+        adjacency = [neighbours & mask for neighbours in self._adjacency]
+        best = 0
+
+        def search(cells):
+            nonlocal best
+            cells = _refine(adjacency, cells)
+            at = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+            if at is None:
+                order = [cell[0] for cell in cells]
+                word = 0
+                for i, v in enumerate(order):
+                    for u in order[:i]:
+                        word = word << 1 | adjacency[v] >> u & 1
+                best = max(best, word)
+                return
+            tried = []
+            for w in cells[at]:
+                if any(adjacency[w] & ~(1 << u) == adjacency[u] & ~(1 << w) for u in tried):
+                    continue
+                tried.append(w)
+                search(cells[:at] + [[w], [u for u in cells[at] if u != w]] + cells[at + 1:])
+
+        vertices = [v for v in range(self.n_vertices) if mask >> v & 1]
+        if vertices:
+            search([vertices])
+        return len(vertices), best
+
+
+def _refine(adjacency: list[int], cells: list) -> list:
+    """Split every cell by its vertices' neighbour counts in each cell, until none splits.
+
+    The parts of a cell keep its place, in increasing order of signature.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        split = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts = {}
+            for v in cell:
+                parts.setdefault(tuple((adjacency[v] & m).bit_count() for m in masks), []).append(v)
+            split.extend(parts[signature] for signature in sorted(parts))
+        if len(split) == len(cells):
+            return split
+        cells = split
 
 
 def parse_graph(text: str) -> SimpleGraph:

@@ -357,12 +357,28 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     ``_cyc_avoid`` checkers of the subgraph on ``vertices``, lumped once with
     one colour per vertex (``automata.vertex_quotient``): the quotient of the
     fold is that of ``cycsl_fsa`` (lemma in ``automata``).  Mobius inversion
-    on the subset lattice, F_B = sum over T in B of (-1)^|B \\ T| G_T, runs
-    for all B at once as the fast subset transform (Yates; Bjorklund,
-    Husfeldt, Kaski and Koivisto, STOC 2007): the pass for vertex i subtracts
-    f[mask without i] from f[mask] for every mask holding i, k 2^(k-1)
-    subtractions for k vertices.  Keys are sorted vertex tuples, decomposable
-    B included (the pipeline skips them).
+    on the subset lattice gives F_B = sum over T in B of (-1)^|B \ T| G_T.
+    Keys are sorted vertex tuples, decomposable B included (the pipeline
+    skips them).
+
+    Lemma (invariance): G_T and F_B depend only on the isomorphism type of
+    the subgraph induced on T or B, although cyclic shortlex depends on the
+    vertex order.  rho(F_B) counts the conjugacy classes of A_B with support
+    exactly B by length: that is the subset sum of the pipeline, since the
+    classes of a join are products of classes of its parts.  Those counts
+    are an invariant of A_B with its standard generators, which an
+    isomorphism of induced subgraphs preserves.  rho is injective on series
+    with zero constant term, since [z^n] rho(f) = f_n / n + (terms in the f_j,
+    j < n), and F_B has none; so F_B is invariant, and so is G_T = sum over
+    B in T of F_B.
+
+    So each vertex mask gets the exact canonical code of its induced
+    subgraph (``SimpleGraph._canonical_code``), one G is certified per
+    class, and F_B is summed once per class of B, as sum over classes c of
+    m_c G_c with the integer multiplicities m_c = sum over T in B of class c
+    of (-1)^|B \ T| from one walk over the submasks of B: one Henrici sum
+    (``RationalFunction._sum``) per nonzero m_c on the numerator of G_c
+    scaled by m_c.  P8 takes 29 certificates where it has 255 subsets.
 
     Lemma: F_B = 0 for decomposable B.  Let B be the join of B_1 and B_2,
     and w a word with support B whose rotations are all shortlex.  Around
@@ -375,16 +391,30 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     """
     vertices = sorted(set(vertices))
     k = len(vertices)
-    quotient = vertex_quotient(_divided_fold(g.induced_subgraph(vertices), _cyc_avoid))
-    table = [RationalFunction.make([1])] + [
-        restricted_growth_series(quotient, [i for i in range(k) if mask >> i & 1])
-        for mask in range(1, 1 << k)
-    ]
-    for i in range(k):
-        for mask in range(1 << k):
-            if mask >> i & 1:
-                table[mask] = table[mask] - table[mask ^ (1 << i)]
-    return {tuple(v for i, v in enumerate(vertices) if mask >> i & 1): table[mask]
+    induced = g.induced_subgraph(vertices)
+    quotient = vertex_quotient(_divided_fold(induced, _cyc_avoid))
+    codes = [induced._canonical_code(mask) for mask in range(1 << k)]
+    series = {codes[0]: RationalFunction.make([1])}
+    for mask in range(1, 1 << k):
+        if codes[mask] not in series:
+            series[codes[mask]] = restricted_growth_series(quotient, [i for i in range(k) if mask >> i & 1])
+    blocks = {}
+    for mask in range(1, 1 << k):
+        if codes[mask] in blocks:
+            continue
+        multiplicity = dict.fromkeys(series, 0)
+        sub = mask
+        while True:
+            multiplicity[codes[sub]] += -1 if (mask ^ sub).bit_count() & 1 else 1
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+        total = RationalFunction((0,), (1,))
+        for code, m in multiplicity.items():
+            if m:
+                total = total._sum([m * c for c in series[code].num], series[code].den)
+        blocks[codes[mask]] = total
+    return {tuple(v for i, v in enumerate(vertices) if mask >> i & 1): blocks[codes[mask]]
             for mask in range(1, 1 << k)}
 
 

@@ -9,10 +9,12 @@ where F_i is the growth series of the cyclically-shortlex words supported
 exactly on U_i.  Every indecomposable block lies inside one maximal block (a
 component of the whole graph's complement), and one table per maximal block
 (``languages.cycsl_support_table``) gives all their series at once: one
-cyclically-shortlex checker fold, lumped once with one colour per vertex, every
-letter restriction read off that quotient, and one fast Mobius transform over
-the subsets.  Each block is kept as its reduced fraction and the rho of its
-expansion, and the subset sum then only multiplies and adds truncated series.
+cyclically-shortlex checker fold, lumped once with one colour per vertex, one
+letter restriction read off that quotient per isomorphism class of induced
+subgraph, and one Mobius sum per class of block over the classes of its
+subsets.  Each block is kept as its reduced fraction and the rho of its
+expansion, taken once per distinct fraction, and the subset sum then only
+multiplies and adds truncated series.
 
 ``cograph_series`` is an independent closed form on a cograph (no induced
 P4), by its union/join tree: one vertex has sigma = sigma~ = (1+z)/(1-z), a
@@ -76,12 +78,15 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
         raise GraphError(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
 
     per_subset = {}
+    rhos = {}  # isomorphic blocks share their reduced fraction, and so its rho
     # an indecomposable block lies inside one maximal block, a component of
     # the whole graph's complement: one table per maximal block holds them all
     for top in g.decompose(range(n)) if n else ():
         for block, rf in cycsl_support_table(g, top).items():
             if g.is_indecomposable(block):
-                per_subset[block] = (rf, rho(rf.expand(degree)))
+                if rf not in rhos:
+                    rhos[rf] = rho(rf.expand(degree))
+                per_subset[block] = (rf, rhos[rf])
             elif rf.num != (0,):  # F_B = 0 by the decomposable-block lemma of cycsl_support_table
                 raise InvariantError(f"decomposable block {block} has a nonzero series")
 

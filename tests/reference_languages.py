@@ -13,8 +13,9 @@
 * ``cycsl_support_series``: one block's series as a sequential signed sum,
   F_B = sum over T in B of (-1)^|B \\ T| G_T, with every G_T a letter
   restriction of the cyclically-shortlex acceptor of the maximal block
-  containing B.  The library runs one fast subset transform per maximal
-  block instead.
+  containing B.  The library certifies one G_T per isomorphism class of T
+  and sums F_B once per class of B, each class of subsets with its signed
+  count, instead.
 
 The tests compare each pair of constructions.
 """

@@ -1,9 +1,11 @@
+import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from conftest import small_graphs
+from conftest import complete_graph, cycle_graph, small_graphs
 from raaggrowth import GraphError, SimpleGraph, parse_graph
 
 
@@ -152,3 +154,84 @@ def test_decompose_partitions_and_orders(g):
 @given(small_graphs(min_vertices=1, max_vertices=5))
 def test_components_of_double_complement(g):
     assert g.connected_components() == g.complement().complement().connected_components()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_decompose_matches_complement_components(data):
+    g = data.draw(small_graphs(min_vertices=1, max_vertices=8))
+    subset = data.draw(st.sets(st.sampled_from(range(g.n_vertices)), min_size=1))
+    ordered = sorted(subset)
+    components = g.complement().induced_subgraph(ordered).connected_components()
+    want = tuple(tuple(ordered[k] for k in sorted(component)) for component in components)
+    assert g.decompose(subset) == want
+
+
+def _brute_force_code(g, subset):
+    # the largest adjacency word over every order of the subset
+    best = 0
+    for order in itertools.permutations(subset):
+        word = 0
+        for i, v in enumerate(order):
+            for u in order[:i]:
+                word = word << 1 | g.adjacent(u, v)
+        best = max(best, word)
+    return len(subset), best
+
+
+def _same_partition(a, b):
+    return len(set(a)) == len(set(b)) == len(set(zip(a, b)))
+
+
+@settings(deadline=None)
+@given(small_graphs(max_vertices=6))
+def test_canonical_code_classes_are_isomorphism_classes(g):
+    # two vertex sets share a code exactly when their induced subgraphs are
+    # isomorphic, as a search over every vertex order decides
+    masks = range(1 << g.n_vertices)
+    codes = [g._canonical_code(mask) for mask in masks]
+    brute = [_brute_force_code(g, [v for v in range(g.n_vertices) if mask >> v & 1]) for mask in masks]
+    assert _same_partition(codes, brute)
+
+
+def _relabelled(g, rng):
+    order = rng.sample(range(g.n_vertices), g.n_vertices)
+    return SimpleGraph.make([g.vertices[v] for v in order],
+                            [(g.vertices[i], g.vertices[j]) for i, j in g.edges])
+
+
+def _named(n, edges):
+    return SimpleGraph.make([f"v{i}" for i in range(n)], [(f"v{i}", f"v{j}") for i, j in edges])
+
+
+@pytest.mark.parametrize("g, h", [
+    (cycle_graph(6), _named(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),  # C6 / 2K3
+    (_named(6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K3,3 / prism
+     _named(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])),
+    (_named(8, [(i, j) for i in range(8) for j in range(i + 1, 8) if bin(i ^ j).count("1") == 1]),  # Q3
+     _named(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])),  # Wagner V8
+    (cycle_graph(7), _named(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])),  # C7 / C3+C4
+], ids=["C6-2K3", "K33-prism", "Q3-Wagner", "C7-C3C4"])
+def test_canonical_code_separates_graphs_with_one_degree_sequence(g, h):
+    # each pair is regular of one degree, so refinement leaves one cell and
+    # no degree count tells the two apart; C3+C4 is regular but not
+    # vertex-transitive, so a search that skips a branch on a non-twin
+    # changes its code under relabelling
+    full = (1 << g.n_vertices) - 1
+    assert g._canonical_code(full) != h._canonical_code(full)
+    rng = random.Random(27)
+    for graph in (g, h):
+        for _ in range(10):
+            assert _relabelled(graph, rng)._canonical_code(full) == graph._canonical_code(full)
+
+
+@pytest.mark.parametrize("g", [SimpleGraph.make([f"v{i}" for i in range(8)], []), complete_graph(8)],
+                         ids=["F8", "Z8"])
+def test_canonical_code_classes_of_twin_graphs(g):
+    # every two vertices are twins: one class per size, all singletons in one
+    classes = {}
+    for mask in range(1, 1 << 8):
+        classes.setdefault(g._canonical_code(mask), set()).add(mask.bit_count())
+    assert len(classes) == 8
+    assert all(len(sizes) == 1 for sizes in classes.values())
+    assert len({g._canonical_code(1 << v) for v in range(8)}) == 1

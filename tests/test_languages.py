@@ -237,8 +237,9 @@ def test_cycsl_support_series_rejects_decomposable(path4):
 @example(path_graph(4))
 @example(cycle_graph(5))
 def test_support_table_matches_sequential_sums(g):
-    # one fast subset transform per maximal block gives every indecomposable
-    # block's fraction exactly as its own signed sum over letter restrictions
+    # the class-wise Mobius sums of one table per maximal block give every
+    # indecomposable block's fraction exactly as its own signed sum over the
+    # letter restrictions of all its subsets
     closures = {}
     for top in g.decompose(range(g.n_vertices)):
         table = languages.cycsl_support_table(g, top)

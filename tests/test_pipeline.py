@@ -333,30 +333,33 @@ def test_one_closure_per_maximal_block(g, monkeypatch):
     assert sorted(closed) == sorted(maximal)
 
 
-@pytest.mark.parametrize("g, subtractions, certificates", [
-    (path_graph(5), 80, 31),  # one maximal block of 5 vertices
-    (SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]), 5, 4),  # Z x F2: {a}, {b, c}
-])
-def test_block_stage_operation_count(g, subtractions, certificates, monkeypatch):
-    # per maximal block of k vertices: 2^k - 1 certificates (G_empty = 1 needs
-    # none) and k 2^(k-1) subtractions in the fast subset transform
-    counts = {"sub": 0, "certify": 0}
-    real_sub, real_certify = RationalFunction.__sub__, languages.restricted_growth_series
+@pytest.mark.parametrize("g, sums, certificates", [
+    (path_graph(5), 54, 10),  # one maximal block of 5 vertices, 31 subsets in 10 classes
+    (SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]), 7, 3),  # Z x F2: {a}, {b, c}
+    (path_graph(8), 339, 29),  # 255 subsets in 29 classes
+    (cycle_graph(8), 214, 22),  # 255 subsets in 22 classes
+], ids=["P5", "ZxF2", "P8", "C8"])
+def test_block_stage_operation_count(g, sums, certificates, monkeypatch):
+    # per maximal block: one certificate per isomorphism class of nonempty
+    # induced subgraph (G_empty = 1 needs none), and per class of block B one
+    # fraction sum for each class whose signed count among the subsets of B
+    # is nonzero
+    counts = {"sum": 0, "certify": 0}
+    real_sum, real_certify = RationalFunction._sum, languages.restricted_growth_series
 
-    def counting_sub(self, other):
-        counts["sub"] += 1
-        return real_sub(self, other)
+    def counting_sum(self, *args):
+        counts["sum"] += 1
+        return real_sum(self, *args)
 
     def counting_certify(*args):
         counts["certify"] += 1
         return real_certify(*args)
 
-    monkeypatch.setattr(RationalFunction, "__sub__", counting_sub)
+    monkeypatch.setattr(RationalFunction, "_sum", counting_sum)
     monkeypatch.setattr(languages, "restricted_growth_series", counting_certify)
     spherical_conj_series(g, 6)
-    sizes = [len(top) for top in g.decompose(range(g.n_vertices))]
-    assert counts["sub"] == sum(k << (k - 1) for k in sizes) == subtractions
-    assert counts["certify"] == sum((1 << k) - 1 for k in sizes) == certificates
+    assert counts["sum"] == sums
+    assert counts["certify"] == certificates
 
 
 @st.composite
