@@ -357,7 +357,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     ``_cyc_avoid`` checkers of the subgraph on ``vertices``, lumped once with
     one colour per vertex (``automata.vertex_quotient``): the quotient of the
     fold is that of ``cycsl_fsa`` (lemma in ``automata``).  Mobius inversion
-    on the subset lattice gives F_B = sum over T in B of (-1)^|B \ T| G_T.
+    on the subset lattice gives F_B = sum over T in B of (-1)^|B \\ T| G_T.
     Keys are sorted vertex tuples, decomposable B included (the pipeline
     skips them).
 
@@ -376,7 +376,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     subgraph (``SimpleGraph._canonical_code``), one G is certified per
     class, and F_B is summed once per class of B, as sum over classes c of
     m_c G_c with the integer multiplicities m_c = sum over T in B of class c
-    of (-1)^|B \ T| from one walk over the submasks of B: one Henrici sum
+    of (-1)^|B \\ T| from one walk over the submasks of B: one Henrici sum
     (``RationalFunction._sum``) per nonzero m_c on the numerator of G_c
     scaled by m_c.  P8 takes 29 certificates where it has 255 subsets.
 

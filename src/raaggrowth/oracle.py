@@ -14,18 +14,23 @@ shuffled past.  It is computed once per graph.
 * Cyclic reduction by peeling: a reduced word is cyclically reduced exactly
   when no letter x that can be shuffled to the front has an inverse that can
   be shuffled to the back; such pairs are removed until none is left.
-* Element sweep: every element of length k is one of length k-1 times a
-  letter.  A normal form is a fixed point of the insertion, so each
-  extension costs one insertion into a copy of its normal form.
+* Element sweep: a prefix of a normal form is a normal form, so every
+  element of length k is a normal form u of length k-1 followed by one
+  letter x.  The word u + (x,) is a normal form exactly when x's backward
+  scan to its last blocker passes only letters below x and that blocker is
+  not x^-1; each element is made once, with no copy and no dedupe set.
 * Class count, layer by layer: a normal form of length k that admits a peel
   lies in a class of smaller minimal length, counted at an earlier layer.
-  Any other starts a class of minimal length k unless this layer's closures
-  already hold it; its closure under rotations and commuting transpositions
-  (brute force) holds every word of length k in the class, and its least
-  word, ``min(conjugacy_class_words(g, w))``, is a canonical key.
+  Any other starts a class of minimal length k unless this layer's orbits
+  already hold it.  Its orbit under moving a front-movable letter to the
+  back and renormalising is the set of cyclically reduced normal forms of
+  the class (Servatius; Crisp, Godelle and Wiest), and its least member,
+  ``min(conjugacy_class_words(g, w))``, is the least minimal word of the
+  class, a canonical key.
 * Both enumerations refuse more than ``ORACLE_MAX_LENGTH`` letters and more
-  than ``ORACLE_MAX_WORDS`` words held at once, before the work outgrows a
-  desk.
+  than ``ORACLE_MAX_WORDS`` elements in the ball, before the work outgrows a
+  desk.  The orbits of one length are subsets of that layer, so the ball's
+  bound also bounds the class count.
 
 It exists to validate the automata pipeline, so it shares no code with it.
 """
@@ -37,7 +42,8 @@ from functools import lru_cache
 from .graphs import SimpleGraph
 
 ORACLE_MAX_LENGTH = 10
-# Words one enumeration may hold: the ball, or one layer's class closures.
+# Elements of the ball that one enumeration may hold; a layer's class orbits
+# are subsets of that layer, so this bounds them too.
 ORACLE_MAX_WORDS = 1_000_000
 
 
@@ -50,11 +56,6 @@ def _check_cap(n: int):
         raise OracleBound(f"oracle enumeration capped at length {ORACLE_MAX_LENGTH}, got {n}")
     if n < 0:
         raise OracleBound("length bound must be nonnegative")
-
-
-def _check_words(n_words: int, what: str):
-    if n_words > ORACLE_MAX_WORDS:
-        raise OracleBound(f"oracle enumeration capped at {ORACLE_MAX_WORDS} words, exceeded by {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,61 +163,90 @@ def is_conjugacy_geodesic(g: SimpleGraph, word) -> bool:
 
 
 def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:
-    """All minimal-length words in the conjugacy class of ``word``.
+    """Normal forms of the minimal-length words in the conjugacy class of ``word``.
 
-    Closure of one cyclically reduced representative under single-letter
-    rotation and single transposition of commuting letters; conjugate minimal
-    words are connected by interleaved rotations and shuffles.  ``_reduced``
-    says that ``word`` is already cyclically reduced.
+    The orbit of one cyclically reduced normal form u under a single move: a
+    letter x that can be shuffled to the front of u, at position p, goes to
+    the back.  The new normal form is u[:p] with the letters of u[p+1:] and
+    then x inserted one at a time; at p = 0 the greedy order of u[1:] is
+    already its own.  Every word of u's shuffle class starts with such a
+    letter, so the moves reach the normal form of every rotation of every
+    shuffle, i.e. of every minimal-length word in the class (Servatius).
+    All of them spell the same letters, so the scan for front-movable
+    letters stops once the blockers read cover the vertices of u.
+    ``_reduced`` says that ``word`` is already a cyclically reduced normal
+    form.
     """
     blockers = _blockers(g)
     start = tuple(word) if _reduced else cyclically_reduce(g, word)
-    if not start:
-        return frozenset({start})
-    seen = {start}
+    present = 0  # the vertices of every word in the orbit
+    for x in start:
+        present |= 1 << (x >> 1)
+    orbit = {start}
     stack = [start]
     while stack:
-        w = stack.pop()
-        nxt = w[1:] + w[:1]
-        if nxt not in seen:
-            seen.add(nxt)
-            stack.append(nxt)
-        for k in range(len(w) - 1):
-            a, b = w[k], w[k + 1]
-            if not blockers[a >> 1] >> (b >> 1) & 1:
-                swapped = w[:k] + (b, a) + w[k + 2:]
-                if swapped not in seen:
-                    seen.add(swapped)
-                    stack.append(swapped)
-    return frozenset(seen)
+        u = stack.pop()
+        seen = 0  # OR of the blockers of u[:p]
+        for p, x in enumerate(u):
+            v = x >> 1
+            stop = blockers[v]
+            # x is front-movable, and a letter of another vertex blocks it;
+            # if none does, x commutes with all of u but its own copies and
+            # the move changes nothing
+            if not seen >> v & 1 and stop & present != 1 << v:
+                if p:
+                    out = list(u[:p])
+                    for y in u[p + 1:]:
+                        _insert(blockers, out, y)
+                else:
+                    out = list(u[1:])  # the greedy order of u after its first letter
+                _insert(blockers, out, x)
+                moved = tuple(out)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    stack.append(moved)
+            seen |= stop
+            if seen & present == present:
+                break  # no later letter is front-movable
+    return frozenset(orbit)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_elements(g: SimpleGraph, max_length: int) -> list[set]:
+def enumerate_elements(g: SimpleGraph, max_length: int) -> list[list]:
     """Normal forms of all group elements of length <= max_length, by length.
 
-    Every element of length k is one of length k-1 times a letter, so
-    extending layer k-1 by every letter is exhaustive.  Each extension is one
-    insertion into a copy of a normal form; it has length k exactly when it
-    is new, since an insertion that cancels shortens the word.
+    A prefix of a normal form is a normal form, so each element of length k
+    is u + (x,) for one normal form u of length k-1 and one letter x.  That
+    word is a normal form exactly when x's backward scan to its last blocker
+    passes only letters below x, where the insertion would leave it, and the
+    blocker is not x^-1, which it would cancel.  Each element is thus made
+    once, and each layer is a duplicate-free list in lexicographic order.
     """
     _check_cap(max_length)
     blockers = _blockers(g)
     letters = range(g.alphabet().size)
-    by_length = [{()}]
+    by_length = [[()]]
     held = 1
     for length in range(1, max_length + 1):
-        layer = set()
-        for w in by_length[-1]:
+        layer = []
+        for u in by_length[-1]:
             for x in letters:
-                out = list(w)
-                _insert(blockers, out, x)
-                if len(out) == length:
-                    layer.add(tuple(out))
-            _check_words(held + len(layer), f"the ball of radius {length}")
+                stop = blockers[x >> 1]
+                for y in reversed(u):
+                    if stop >> (y >> 1) & 1:
+                        if y != x ^ 1:
+                            layer.append(u + (x,))
+                        break
+                    if y > x:
+                        break
+                else:
+                    layer.append(u + (x,))
+            if held + len(layer) > ORACLE_MAX_WORDS:
+                raise OracleBound(f"oracle enumeration capped at {ORACLE_MAX_WORDS} words, "
+                                  f"exceeded by the ball of radius {length}")
         held += len(layer)
         by_length.append(layer)
     return by_length
@@ -232,13 +262,13 @@ def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
     Each layer of the ball is walked once.  A normal form with a peelable
     pair has a shorter conjugate, so its class was counted at an earlier
     layer.  Any other is cyclically reduced: unless ``seen`` holds it, it
-    starts a class of minimal length k, whose closure holds every word of
-    length k in the class.  A cyclically reduced word of length k lies in no
-    closure of a shorter class, so ``seen`` holds this layer's closures alone.
+    starts a class of minimal length k, whose orbit holds every cyclically
+    reduced normal form of the class.  Orbits of one length are subsets of
+    that layer, so the ball's word bound also bounds ``seen``.
     """
     blockers = _blockers(g)
     counts = []
-    for length, layer in enumerate(enumerate_elements(g, max_length)):
+    for layer in enumerate_elements(g, max_length):
         seen = set()
         count = 0
         for w in layer:
@@ -246,7 +276,5 @@ def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
                 continue
             count += 1
             seen |= conjugacy_class_words(g, w, _reduced=True)
-            _check_words(len(seen), f"the class closures of length {length}")
         counts.append(count)
     return counts
-

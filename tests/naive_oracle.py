@@ -73,10 +73,14 @@ def cyclically_reduce(g, word) -> tuple:
             return word
 
 
-def conjugacy_key(g, word) -> tuple:
-    """Lex-least word of the rotation/shuffle closure of the naive cyclic reduction."""
+def rotation_swap_closure(g, word) -> set:
+    """Closure of ``word`` under rotations and swaps of adjacent commuting letters.
+
+    For a cyclically reduced word it holds every minimal-length word of the
+    conjugacy class.
+    """
     alphabet = g.alphabet()
-    start = cyclically_reduce(g, word)
+    start = tuple(word)
     seen = {start}
     stack = [start]
     while stack:
@@ -92,7 +96,12 @@ def conjugacy_key(g, word) -> tuple:
                 if swapped not in seen:
                     seen.add(swapped)
                     stack.append(swapped)
-    return min(seen)
+    return seen
+
+
+def conjugacy_key(g, word) -> tuple:
+    """Lex-least word of the closure of the naive cyclic reduction."""
+    return min(rotation_swap_closure(g, cyclically_reduce(g, word)))
 
 
 def _normal_forms(g, max_length) -> set:

@@ -226,21 +226,39 @@ def test_vertex_bound_admits_the_bound(capsys, tmp_path):
     assert json.loads(out)["element_counts"] == ["1", str(2 * MAX_VERTICES)]
 
 
-@pytest.mark.parametrize("edges", ["edgeless", "complete"])
-def test_oracle_word_bound_refuses_largest_graphs(capsys, tmp_path, edges):
-    # F8 and Z^8 to length 8 would hold billions of words and millions of
-    # closure words; both are refused once ORACLE_MAX_WORDS is passed
+# Z^8 is abelian: every class is one element, so the class counts are the element counts
+Z8_COUNTS = ["1", "16", "128", "688", "2816", "9424", "27008", "68464", "157184"]
+
+
+@pytest.mark.parametrize("edges, length", [("edgeless", 8), ("complete", 8), ("bipartite", 6)],
+                         ids=["edgeless", "complete", "bipartite"])
+def test_oracle_word_bound_refuses_largest_graphs(capsys, tmp_path, edges, length):
+    # F8 to length 8 would hold billions of elements and K4,4 to length 6 more
+    # than a million, so both are refused once ORACLE_MAX_WORDS is passed.
+    # Z^8 to length 8 holds 265,729 elements, and each class orbit is a subset
+    # of its layer, so it is answered.
     labels = [f"v{i}" for i in range(MAX_VERTICES)]
-    pairs = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]] if edges == "complete" else []
+    half = MAX_VERTICES // 2
+    pairs = {
+        "edgeless": [],
+        "complete": [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]],
+        "bipartite": [[a, b] for a in labels[:half] for b in labels[half:]],
+    }[edges]
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"vertices": labels, "edges": pairs}))
     start = time.perf_counter()
-    code = main(["oracle", "--graph", str(path), "--max-length", "8"])
+    code = main(["oracle", "--graph", str(path), "--max-length", str(length)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: oracle enumeration capped at {ORACLE_MAX_WORDS} words")
+    if edges == "complete":
+        assert code == 0
+        doc = json.loads(captured.out)
+        assert doc["element_counts"] == Z8_COUNTS
+        assert doc["class_counts"] == Z8_COUNTS
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: oracle enumeration capped at {ORACLE_MAX_WORDS} words")
     assert elapsed < 30
 
 

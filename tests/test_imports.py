@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 
 import raaggrowth
@@ -26,3 +27,12 @@ def test_runtime_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}: {ast.unparse(node)}"
+
+
+def test_sources_compile_without_warnings():
+    # an invalid escape such as "\ " in a docstring warns at compile time
+    # (DeprecationWarning, SyntaxWarning from Python 3.12)
+    for path in SOURCES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import naive_oracle
-from conftest import complete_graph, small_graphs
+from conftest import complete_graph, labelled_graphs, small_graphs
 from raaggrowth import SimpleGraph, oracle
 from raaggrowth.oracle import (
     OracleBound,
@@ -14,6 +14,7 @@ from raaggrowth.oracle import (
     cyclically_reduce,
     element_counts,
     enumerate_classes,
+    enumerate_elements,
     is_conjugacy_geodesic,
     normal_form,
 )
@@ -21,6 +22,10 @@ from raaggrowth.oracle import (
 
 def one_edge_triangle():
     return SimpleGraph.make(["a", "b", "c"], [["a", "c"]])
+
+
+# every graph on at most 4 labelled vertices: letter order matters to normal forms
+UP_TO_FOUR_VERTICES = [g for n in range(1, 5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
 
 
 # -- normal forms ----------------------------------------------------------------
@@ -182,6 +187,37 @@ def test_conjugacy_key_identifies_conjugates(path4):
     assert key((a, c, d)) != key((a, d, c, c))
 
 
+def test_class_orbits_are_the_normal_forms_of_the_naive_closure():
+    # every cyclically reduced normal form up to length 5: its orbit is the set
+    # of normal forms of the brute-force rotation-and-swap closure of its class
+    for g in UP_TO_FOUR_VERTICES:
+        checked = set()
+        for layer in enumerate_elements(g, 5):
+            for w in layer:
+                if w in checked or not is_conjugacy_geodesic(g, w):
+                    continue
+                expected = {normal_form(g, u) for u in naive_oracle.rotation_swap_closure(g, w)}
+                for u in expected:
+                    assert conjugacy_class_words(g, u, _reduced=True) == expected, (g, u)
+                checked |= expected
+
+
+def _naive_layers(g, max_length):
+    """Naive normal forms of length k, for k <= max_length, each a letter more than the last."""
+    layers = [{()}]
+    for length in range(1, max_length + 1):
+        products = (naive_oracle.normal_form(g, u + (x,)) for u in layers[-1] for x in range(g.alphabet().size))
+        layers.append({w for w in products if len(w) == length})
+    return layers
+
+
+def test_element_sweep_makes_each_element_once():
+    for g in UP_TO_FOUR_VERTICES:
+        for layer, naive in zip(enumerate_elements(g, 4), _naive_layers(g, 4), strict=True):
+            assert layer == sorted(set(layer)), g  # duplicate-free, in lexicographic order
+            assert set(layer) == naive, g
+
+
 def test_enumerate_classes_z(z1):
     assert enumerate_classes(z1, 5) == [1, 2, 2, 2, 2, 2]
 
@@ -238,16 +274,16 @@ def test_oracle_cap():
 
 
 def test_oracle_word_bound(monkeypatch, f2):
-    # F2's ball of radius 4 holds 161 elements.  Z^3's holds 129, but its 462
-    # geodesic words of length 4 all lie in class closures of that length.
+    # F2's ball of radius 4 holds 161 elements, so it is refused.  Z^3's holds
+    # 129, and every class orbit lies inside its layer, so the class count is
+    # admitted too.
     monkeypatch.setattr(oracle, "ORACLE_MAX_WORDS", 150)
     assert element_counts(f2, 3) == [1, 4, 12, 36]
     with pytest.raises(OracleBound, match="ball of radius 4"):
         element_counts(f2, 4)
     z3 = complete_graph(3)
-    assert sum(element_counts(z3, 4)) == 129
-    with pytest.raises(OracleBound, match="closures of length 4"):
-        enumerate_classes(z3, 4)
+    assert element_counts(z3, 4) == [1, 6, 18, 38, 66]
+    assert enumerate_classes(z3, 4) == [1, 6, 18, 38, 66]
 
 
 # -- finite language helpers (test references in naive_oracle) ---------------------
