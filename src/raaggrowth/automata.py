@@ -8,8 +8,7 @@ stay tractable; ``complement_lang`` only flips acceptance, which keeps a
 minimal automaton minimal.  ``_product`` collapses the pairs that hold a
 verdict-fixing sink into one constant state, so what is left for Hopcroft
 to merge is small, and returns the product unminimized.  ``_fold`` folds
-products and minimizes only when the fold has doubled, so its result need
-not be minimal either.
+products, minimizes whenever the fold has doubled, and returns it minimal.
 
 Minimized automata are renumbered canonically (breadth-first from the initial
 state in letter order), so two automata accept the same language exactly when
@@ -93,7 +92,14 @@ which are the letters of u again, so q and s(q) move to the same multiset
 of orbits under each colour, and they agree on acceptance.  The DFA on the
 representatives, each row with its targets replaced by their
 representatives, has the matrices B_c of that partition, so it counts as
-the DFA does, colour by colour.
+the DFA does, colour by colour.  One quotient of a model serves all its
+pullbacks (``languages._divided_factors``).  Lemma: let a letter map h send
+the letters of v, and only those, to those of a model vertex m, in order, so
+h sigma_v = sigma_m h.  The model's s under sigma_m is then an automorphism
+of the pullback under sigma_v, and the pullback reads the two letters of
+every vertex but v alike if the model does so for every vertex but m.  On the
+states the pullback reaches, its orbits and representatives are the model's,
+so the pullback of the model's quotient is the quotient of the pullback.
 
 Lemma (products): let each factor A_v of a product meet the three
 conditions ``_sign_quotient`` checks for its own vertex v: sigma_v induces
@@ -310,9 +316,9 @@ def _product(a: Dfa, b: Dfa, keep) -> Dfa:
     one constant state, X* or the empty language.  Most states that Hopcroft
     would merge in the pipeline's products are such pairs, but the result is
     not minimized: ``intersect`` and ``union`` minimize it, ``_fold`` (in
-    ``cyc_perm`` and ``languages._acceptor``) does once the fold has doubled,
-    and the counted ``languages._divided_fold`` and inclusion-exclusion chain
-    never do.
+    ``cyc_perm`` and ``languages._acceptor``) does once the fold has doubled
+    and at the end, and the counted ``languages._divided_fold`` and
+    inclusion-exclusion chain never do.
     """
     _require_same_alphabet(a, b)
     size = a.alphabet.size
@@ -510,8 +516,7 @@ def cyc_perm(a: Dfa) -> Dfa:
     over the 437 pieces of the P4 conjugacy-geodesic acceptor a minimized one
     has 25.6 states on average, against 25.0 states that reach q.
 
-    The pieces go into ``_fold`` from the first one, which is canonical, and
-    the fold is minimized at the end unless its last step did.
+    The pieces go into ``_fold`` from the first one, which is canonical.
     """
     a = minimize(a)
     coreach = _coreachable(_row(a), a.n_states, a.accepting)
@@ -533,22 +538,19 @@ def cyc_perm(a: Dfa) -> Dfa:
     first = next(pieces, None)
     if first is None:
         return empty_language_dfa(a.alphabet)
-    result, minimal = _fold(first, pieces, or_)
-    return result if minimal else minimize(result)
+    return _fold(first, pieces, or_)
 
 
-def _fold(result: Dfa, pieces, keep):
-    """Fold ``pieces`` into the minimal ``result`` by ``_product`` under ``keep``.
+def _fold(result: Dfa, pieces, keep) -> Dfa:
+    """Fold ``pieces`` into the minimal ``result`` by ``_product`` under ``keep``, minimized.
 
-    ``cyc_perm`` unions its pieces this way and ``languages._acceptor``
-    intersects the checkers of every acceptor.  The fold is minimized only
-    when it has more than doubled since it was last minimized (``result``
-    counts as minimized).  Most steps of these folds are minimal already, so
-    Hopcroft after every step is wasted work, but a fold never minimized
-    blows up: 7.9 GB on the 437 pieces of the P4 conjugacy-geodesic
-    acceptor's closure, and 10,214 raw states against 258 minimal for the
-    cyclically-shortlex checkers of co-P8.  Returns the fold and whether its
-    last step minimized it.
+    The fold is minimized when it has more than doubled since it was last
+    minimized (``result`` counts as minimized) and at the end unless its last
+    step did.  Most steps of the folds in ``cyc_perm`` and ``languages._acceptor``
+    are minimal already, so Hopcroft after every step is wasted work, but a
+    fold never minimized blows up: 7.9 GB on the 437 pieces of the P4
+    conjugacy-geodesic acceptor's closure, and 10,214 raw states against 258
+    minimal for the cyclically-shortlex checkers of co-P8.
     """
     minimal, bound = True, 2 * result.n_states
     for piece in pieces:
@@ -557,7 +559,7 @@ def _fold(result: Dfa, pieces, keep):
         if minimal:
             result = minimize(result)
             bound = 2 * result.n_states
-    return result, minimal
+    return result if minimal else minimize(result)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,15 @@ Given a defining graph, this module builds complete DFAs for:
                       and shuffling, used for the inclusion-exclusion route to
                       the conjugacy geodesic growth series.
 
-Each language is an intersection of conditions, one checker per vertex
-(``geo_checker``, ``_cyc_avoid``, ``_cyc_geo``), so there are two folds.
-``_acceptor`` folds the factors into X* with ``automata._fold`` and
-minimizes, so the empty graph needs no branch and every builder is
-canonical.  ``_divided_fold`` multiplies the same checkers into X* after
-dividing each by its sign swap x_v -> x_v^-1 (``automata._sign_quotient``),
-with no minimization: it accepts another language than the builder, with
-the same counts for every sum of vertex colours, and counting needs no
-minimal automaton (both lemmas in ``automata``).  The geodesic, direct
-conjugacy-geodesic and cyclically-shortlex series count it; the
-inclusion-exclusion chain multiplies divided factors of its own.
+Each language is an intersection of per-vertex conditions, each a
+letter-class model (below) pulled back to the vertex, and there are two
+folds.  ``_acceptor`` folds the raw pullbacks (``_factors``) into X* with
+``automata._fold``, which minimizes, so the empty graph needs no branch and
+every builder is canonical.  The geodesic, direct conjugacy-geodesic and
+cyclically-shortlex series count ``_divided_fold`` instead, which divides
+each model once by its sign swap (``_divided_factors``) and multiplies the
+pullbacks unminimized; the inclusion-exclusion chain multiplies divided
+factors of its own.
 
 The conjugacy geodesics use De Morgan's law with the cyclic-permutation
 closure of ``automata.cyc_perm``.  The geodesics are the intersection of the
@@ -34,20 +32,19 @@ checkers L_v, and a word is conjugacy geodesic exactly when no rotation of
 it leaves some L_v, so ``CycL = intersection_v (X* \\ CycPerm(X* \\ L_v))``.
 Closing the four-state checker's complement is far cheaper than closing the
 complement of the whole geodesic acceptor (hundreds of states), and on the
-models below it is closed once, at import, for every vertex of every graph.
+model below it is closed once, at import, for every vertex of every graph.
 
 Every per-vertex factor reads a letter only by its class: a letter of v, a
-letter of a neighbour of v, or any other letter (``_cyc_avoid`` also asks
-whether a neighbour comes before or after v).  So each factor is built once,
-at import, by its direct constructor (``_geo_checker_direct``,
-``_lprime_direct``, ``_cyc_avoid_direct``) on a model graph whose vertices
-are the classes, and pulled back to every vertex of a real graph by
-``automata._pullback`` under the class map (``_classes``,
-``_ordered_classes``).  The pullback lemma in ``automata`` carries
+letter of a neighbour of v before or after v, or any other letter.  So each
+factor is built once, at import, by its direct constructor
+(``_geo_checker_direct``, ``_lprime_direct``, ``_cyc_avoid_direct``) on the
+model graph ``_CHAIN``, whose vertices are the classes, and pulled back to
+every vertex by ``automata._pullback`` under the one class map
+``_classes``; only the cyclic checker reads the neighbours before v apart
+from those after it.  The pullback lemma in ``automata`` carries
 complement, products and cyclic closure through the map, so the minimized
-pullback is byte for byte the factor the direct constructor would build on
-the whole alphabet, and no vertex takes a closure, a product or a union of
-its own.  ``_cyc_avoid`` is the raw pullback, already its direct table.
+pullback is byte for byte the factor the direct constructor would build,
+and no vertex takes a closure, a product or a union of its own.
 """
 
 from __future__ import annotations
@@ -76,53 +73,59 @@ from .series import RationalFunction
 
 
 # ---------------------------------------------------------------------------
-# the two folds: acceptors and counted products
+# the model graph, the class map and the two folds
 # ---------------------------------------------------------------------------
 
-def _acceptor(alphabet: OrderedAlphabet, factors) -> Dfa:
-    """The intersection of ``factors``, folded into X* by ``automata._fold`` and minimized."""
-    return minimize(_fold(all_words_dfa(alphabet), factors, and_)[0])
-
-
-def _divided_fold(g: SimpleGraph, checker) -> Dfa:
-    """Each ``checker(g, alphabet, v)`` divided by its sign swap, multiplied into X* in turn.
-
-    Each checker goes through ``automata._sign_quotient(checker, v)`` and the
-    quotients through reachable ``automata._product``s, never minimized: the
-    divided cyclically-shortlex checkers of co-P8 stay at 1,423 states.  The
-    result does not accept the intersection of the checkers, but by the
-    product lemma in ``automata`` it counts the same words for every sum of
-    vertex colours; it is only counted.
-    """
-    alphabet = g.alphabet()
-    result = all_words_dfa(alphabet)
-    for v in range(g.n_vertices):
-        result = _product(result, _sign_quotient(checker(g, alphabet, v), v), and_)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# letter-class models
-# ---------------------------------------------------------------------------
-
-_PAIR = SimpleGraph.make(["v", "n", "f"], [["v", "n"]])  # a vertex, a neighbour, a far vertex
-_CHAIN = SimpleGraph.make(["s", "v", "b", "f"], [["s", "v"], ["v", "b"]])  # s < v < b
+_CHAIN = SimpleGraph.make(["s", "v", "b", "f"], [["s", "v"], ["v", "b"]])  # s < v < b, a far vertex f
 
 
 def _classes(g: SimpleGraph, v: int) -> list:
-    """The vertex map onto ``_PAIR``: v to v, its neighbours to n, every other vertex to f."""
-    near = g.neighbors(v)  # raises GraphError on an unknown vertex
-    return [0 if u == v else 1 if u in near else 2 for u in range(g.n_vertices)]
-
-
-def _ordered_classes(g: SimpleGraph, v: int) -> list:
     """The vertex map onto ``_CHAIN``: v to v, its neighbours below and above v to s and b.
 
     Every other vertex goes to f.  The letters of a neighbour of v all come
     before those of v or all after them, as in the model.
     """
-    near = g.neighbors(v)
+    near = g.neighbors(v)  # raises GraphError on an unknown vertex
     return [1 if u == v else 3 if u not in near else 0 if u < v else 2 for u in range(g.n_vertices)]
+
+
+def _factors(g: SimpleGraph, model: Dfa) -> list:
+    """The raw pullbacks of ``model`` through ``_classes(g, v)``, one per vertex v, in vertex order."""
+    alphabet = g.alphabet()
+    return [_pullback(model, alphabet, _classes(g, v)) for v in range(g.n_vertices)]
+
+
+def _divided_factors(g: SimpleGraph, model: Dfa) -> list:
+    """The ``_factors`` of ``model``, each divided by its sign swap x_v -> x_v^-1 and minimized.
+
+    The model is divided once, by ``automata._sign_quotient(model, 1)``:
+    ``_classes`` sends v alone to the model vertex 1, and every model reads
+    the letters of s, b and f alike, so each pullback of the quotient is v's
+    own quotient (the pullback lemma for sign quotients in ``automata``).
+    Minimizing keeps the products small: Z^8's inclusion-exclusion chain
+    reaches 1,036 product states without it, against 526.
+    """
+    return [minimize(factor) for factor in _factors(g, _sign_quotient(model, 1))]
+
+
+def _acceptor(alphabet: OrderedAlphabet, factors) -> Dfa:
+    """The intersection of ``factors``, folded into X* by ``automata._fold``, which minimizes."""
+    return _fold(all_words_dfa(alphabet), factors, and_)
+
+
+def _divided_fold(g: SimpleGraph, model: Dfa) -> Dfa:
+    """The ``_divided_factors(g, model)`` multiplied into X* in turn, never minimized.
+
+    The quotients go through reachable ``automata._product``s: the fold of
+    the divided cyclically-shortlex checkers of co-P8 stays at 864 states.
+    The result does not accept the intersection of the ``_factors``, but by
+    the product lemma in ``automata`` it counts the same words for every sum
+    of vertex colours; it is only counted.
+    """
+    result = all_words_dfa(g.alphabet())
+    for factor in _divided_factors(g, model):
+        result = _product(result, factor, and_)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +160,7 @@ def _geo_checker_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Df
     return intersect(_avoid(g, alphabet, pos, neg), _avoid(g, alphabet, neg, pos))
 
 
-_GEO = _geo_checker_direct(_PAIR, _PAIR.alphabet(), 0)
+_GEO = _geo_checker_direct(_CHAIN, _CHAIN.alphabet(), 1)
 
 
 def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
@@ -170,9 +173,8 @@ def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
 
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
-    """Geodesic words of the group: the ``_acceptor`` of the per-vertex checkers."""
-    alphabet = g.alphabet()
-    return _acceptor(alphabet, (geo_checker(g, alphabet, v) for v in range(g.n_vertices)))
+    """Geodesic words of the group: the ``_acceptor`` of the pulled-back checkers ``_GEO``."""
+    return _acceptor(g.alphabet(), _factors(g, _GEO))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +209,7 @@ def shortlex_fsa(g: SimpleGraph) -> Dfa:
     alphabet = g.alphabet()
     threats = (lex_threat(g, alphabet, a, b) for u, w in sorted(g.edges)  # u < w, so a < b
                for a in alphabet.vertex_letters(u) for b in alphabet.vertex_letters(w))
-    checkers = (geo_checker(g, alphabet, v) for v in range(g.n_vertices))
-    return _acceptor(alphabet, chain(threats, checkers))
+    return _acceptor(alphabet, chain(threats, _factors(g, _GEO)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +270,10 @@ def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     return Dfa(alphabet, 17, table, 0, set(range(16)) - wrapped)
 
 
+# The direct table reads a letter only by its class in ``_classes`` (a
+# neighbour's letter x > l for the letters l of v exactly when its vertex
+# comes after v), so each raw pullback of the model is the direct table.
 _CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
-
-
-def _cyc_avoid(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """``_cyc_avoid_direct(g, alphabet, v)``, its table pulled back from ``_CYC_AVOID``.
-
-    The direct table reads a letter x only through whether it is a letter of
-    v and which, whether its vertex is adjacent to v, and for such a letter
-    whether x > l for a letter l of v, that is whether its vertex comes after
-    v: the four classes of ``_ordered_classes``.  So the raw pullback is that
-    table, state for state, with no minimization.
-    """
-    return _pullback(_CYC_AVOID, alphabet, _ordered_classes(g, v))
 
 
 def cycsl_fsa(g: SimpleGraph) -> Dfa:
@@ -299,37 +291,25 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     in f s' with s' commuting with l.  Neither f nor s' is l, so f s' ends u,
     and the rotation u p l holds the factor f s' p l.
 
-    So the language is the ``_acceptor`` of the ``_cyc_avoid(v)`` in vertex
-    order.  Its fold minimizes only when it has doubled: minimizing every
-    step is wasted work on paths and cycles, and never minimizing blows up on
-    dense blocks.  The reverse vertex order measured 7-80x slower on co-C8
-    and co-P8.
+    So the language is the ``_acceptor`` of the ``_factors`` of the cyclic
+    checker ``_CYC_AVOID``, in vertex order.  Its fold minimizes only when it
+    has doubled: minimizing every step is wasted work on paths and cycles,
+    and never minimizing blows up on dense blocks.  The reverse vertex order
+    measured 7-80x slower on co-C8 and co-P8.
     """
-    alphabet = g.alphabet()
-    return _acceptor(alphabet, (_cyc_avoid(g, alphabet, v) for v in range(g.n_vertices)))
+    return _acceptor(g.alphabet(), _factors(g, _CYC_AVOID))
 
 
+# X* \ CycPerm(X* \ L) on the model (11 states): no vertex takes a ``cyc_perm``
+# of its own.  The closure is closed under the sign swap and reads the two
+# letters of any other vertex alike, so ``_divided_factors`` divides it; the
+# division comes after the closure, since the two do not commute.
 _CYC_GEO = complement_lang(cyc_perm(complement_lang(_GEO)))
 
 
-def _cyc_geo(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Words all of whose rotations ``geo_checker(v)`` accepts: X* \\ CycPerm(X* \\ L_v).
-
-    Cyclic closure and complement commute with inverse letter maps (lemma in
-    ``automata``), so this is the minimized pullback of ``_CYC_GEO``, the
-    closed complement of the model checker ``_GEO``, taken once at import
-    (11 states): no vertex takes a ``cyc_perm`` of its own.  The closure is
-    closed under x_v -> x_v^-1 and reads the two letters of any other vertex
-    alike, so ``automata._sign_quotient`` divides its complement; the
-    division comes after the closure, since the two do not commute.
-    """
-    return minimize(_pullback(_CYC_GEO, alphabet, _classes(g, v)))
-
-
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:
-    """Conjugacy geodesics, whose every rotation is geodesic: the ``_acceptor`` of the ``_cyc_geo``."""
-    alphabet = g.alphabet()
-    return _acceptor(alphabet, (_cyc_geo(g, alphabet, v) for v in range(g.n_vertices)))
+    """Conjugacy geodesics, whose every rotation is geodesic: the ``_acceptor`` of ``_CYC_GEO``."""
+    return _acceptor(g.alphabet(), _factors(g, _CYC_GEO))
 
 
 def cycsl_support_fsa(g: SimpleGraph, subset) -> Dfa:
@@ -354,7 +334,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     G_T counts the cyclically-shortlex words over the letters of T (G_empty =
     1, the empty word).  Cyclic shortlex restricts compatibly to letter
     subsets, so every G_T is read off one ``_divided_fold`` of the
-    ``_cyc_avoid`` checkers of the subgraph on ``vertices``, lumped once with
+    cyclic checker ``_CYC_AVOID`` on the subgraph on ``vertices``, lumped once with
     one colour per vertex (``automata.vertex_quotient``): the quotient of the
     fold is that of ``cycsl_fsa`` (lemma in ``automata``).  Mobius inversion
     on the subset lattice gives F_B = sum over T in B of (-1)^|B \\ T| G_T.
@@ -392,7 +372,7 @@ def cycsl_support_table(g: SimpleGraph, vertices) -> dict:
     vertices = sorted(set(vertices))
     k = len(vertices)
     induced = g.induced_subgraph(vertices)
-    quotient = vertex_quotient(_divided_fold(induced, _cyc_avoid))
+    quotient = vertex_quotient(_divided_fold(induced, _CYC_AVOID))
     codes = [induced._canonical_code(mask) for mask in range(1 << k)]
     series = {codes[0]: RationalFunction.make([1])}
     for mask in range(1, 1 << k):
@@ -461,8 +441,8 @@ def _lprime_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     return union(_bracket(g, alphabet, pos, neg), _bracket(g, alphabet, neg, pos))
 
 
-_LPRIME = _lprime_direct(_PAIR, _PAIR.alphabet(), 0)
-_GEO_LPRIME = intersect(_GEO, _LPRIME)
+_LPRIME = _lprime_direct(_CHAIN, _CHAIN.alphabet(), 1)
+_GEO_LPRIME = intersect(_GEO, _LPRIME)  # L_v & L'_v
 
 
 def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
@@ -474,15 +454,6 @@ def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
     return minimize(_pullback(_LPRIME, g.alphabet(), _classes(g, v)))
 
 
-def _geo_lprime(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """``intersect(geo_checker(g, alphabet, v), lprime_fsa(g, v))``, L_v & L'_v.
-
-    The minimized pullback of the model ``_GEO_LPRIME``, the intersection of
-    the two models, through ``_classes(g, v)``.
-    """
-    return minimize(_pullback(_GEO_LPRIME, alphabet, _classes(g, v)))
-
-
 def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     """Conjugacy geodesic growth series by inclusion-exclusion over vertices.
 
@@ -490,8 +461,8 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     subset T, the geodesics that carry a shuffle-rotatable cancelling pair at
     each vertex of T, with alternating signs.  Those words are the
     intersection over v of L_v (``geo_checker``) for v outside T and of
-    L_v & L'_v (``_geo_lprime``) for v in T, so each vertex has two factors,
-    each divided by its sign swap (``automata._sign_quotient``).  The product
+    L_v & L'_v (the model ``_GEO_LPRIME``) for v in T, so each vertex has two
+    factors, each divided by its sign swap (``_divided_factors``).  The product
     lemma in ``automata`` makes the product of the divided factors count the
     same words; ``geo_fsa`` itself could not be divided, since it reads the
     letters of every vertex.
@@ -510,20 +481,17 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     path, the last child and the product being built), besides the 2n
     factors and one lumped quotient per nonempty term.
     """
-    alphabet = g.alphabet()
-    # per vertex v: (+1, L_v) and (-1, L_v & L'_v), divided
-    factors = [((1, _sign_quotient(geo_checker(g, alphabet, v), v)),
-                (-1, _sign_quotient(_geo_lprime(g, alphabet, v), v)))
-               for v in range(g.n_vertices)]
+    # per vertex v: L_v and L_v & L'_v, divided, with the signs +1 and -1
+    factors = list(zip(_divided_factors(g, _GEO), _divided_factors(g, _GEO_LPRIME)))
 
     def terms(automaton: Dfa, sign: int, v: int):
         # (sign * (-1)^|T|, automaton & the factors of v..n-1 that T picks), T in {v, ..., n-1}
         if v == g.n_vertices:
             yield sign, automaton
             return
-        for flip, factor in factors[v]:
+        for flip, factor in zip((1, -1), factors[v]):
             product = _product(automaton, factor, and_)
             if product.accepting:  # else every further product is empty too
                 yield from terms(product, flip * sign, v + 1)
 
-    return _signed_growth_series(terms(all_words_dfa(alphabet), 1, 0))
+    return _signed_growth_series(terms(all_words_dfa(g.alphabet()), 1, 0))

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from .automata import growth_series
 from .graphs import GraphError, SimpleGraph
 from .languages import (
-    _cyc_geo,
+    _CYC_GEO,
+    _GEO,
     _divided_fold,
     conjgeo_series_incl_excl,
     cycsl_support_table,
-    geo_checker,
     shortlex_fsa,
 )
 from .series import InvariantError, PowerSeries, RationalFunction, neck, poly_mul, rho
@@ -109,24 +109,24 @@ def spherical_growth_series(g: SimpleGraph) -> RationalFunction:
 
 
 def geodesic_series(g: SimpleGraph) -> RationalFunction:
-    """Geodesic growth series, counted on the ``languages._divided_fold`` of the checkers.
+    """Geodesic growth series, counted on the ``languages._divided_fold`` of the checker model.
 
-    The checkers are those whose intersection is ``geo_fsa``; each is divided
-    by its sign swap, and the fold counts the geodesic words.
+    The pullbacks of ``_GEO`` intersect to ``geo_fsa``, and the fold of
+    their sign quotients counts the geodesic words.
     """
-    return growth_series(_divided_fold(g, geo_checker))
+    return growth_series(_divided_fold(g, _GEO))
 
 
 def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunction:
     """Conjugacy geodesic growth series.
 
-    ``direct`` counts the ``languages._divided_fold`` of the per-vertex
-    cyclic closures ``_cyc_geo``, whose intersection is ``conjgeo_fsa``;
+    ``direct`` counts the ``languages._divided_fold`` of the closed checker
+    model ``_CYC_GEO``, whose pullbacks intersect to ``conjgeo_fsa``;
     ``incl-excl`` evaluates the alternating sum over vertex subsets.  The two
     routes are independent and must agree.
     """
     if method == "direct":
-        return growth_series(_divided_fold(g, _cyc_geo))
+        return growth_series(_divided_fold(g, _CYC_GEO))
     if method == "incl-excl":
         return conjgeo_series_incl_excl(g)
     raise ValueError(f"unknown method {method!r}; expected 'direct' or 'incl-excl'")

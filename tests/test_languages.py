@@ -552,7 +552,7 @@ def test_cyclic_checkers_match_factor_definitions():
         ends = {word: [l for f, l in _rotation_factor_ends(g, alphabet, word)
                        if _forbidden(g, alphabet, f, l)] for word in words}
         for v in range(g.n_vertices):
-            checker = languages._cyc_avoid(g, alphabet, v)
+            checker = languages._factors(g, languages._CYC_AVOID)[v]
             for word in words:
                 avoids = all(alphabet.vertex(l) != v for l in ends[word])
                 assert checker.accepts(word) == avoids, (g.vertices, v, word)
@@ -589,16 +589,18 @@ def test_per_vertex_factors_equal_their_direct_constructions():
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
     for g in graphs + [path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)]:
         alphabet = g.alphabet()
+        closed = languages._factors(g, languages._CYC_GEO)
+        cyclic = languages._factors(g, languages._CYC_AVOID)
+        geo_lprime = languages._factors(g, languages._GEO_LPRIME)
         for v in range(g.n_vertices):
             checker = languages._geo_checker_direct(g, alphabet, v)
             lprime = languages._lprime_direct(g, alphabet, v)
             for got, want in [
                 (geo_checker(g, alphabet, v), checker),
                 (lprime_fsa(g, v), lprime),
-                (languages._cyc_geo(g, alphabet, v),
-                 complement_lang(cyc_perm(complement_lang(checker)))),
-                (languages._cyc_avoid(g, alphabet, v), languages._cyc_avoid_direct(g, alphabet, v)),
-                (languages._geo_lprime(g, alphabet, v), intersect(checker, lprime)),
+                (minimize(closed[v]), complement_lang(cyc_perm(complement_lang(checker)))),
+                (cyclic[v], languages._cyc_avoid_direct(g, alphabet, v)),
+                (minimize(geo_lprime[v]), intersect(checker, lprime)),
             ]:
                 assert got.encode() == want.encode(), (g.vertices, sorted(g.edges), v)
 
@@ -606,11 +608,11 @@ def test_per_vertex_factors_equal_their_direct_constructions():
 def test_letter_class_models_stay_tiny():
     # the five models are all the per-vertex work done at import: the
     # checker, its closed complement, L'_v, their intersection, and the
-    # cyclic checker, on the model graphs of 3 and 4 vertices
+    # cyclic checker, all on the 4-vertex model graph
     models = [languages._GEO, languages._CYC_GEO, languages._LPRIME, languages._GEO_LPRIME,
               languages._CYC_AVOID]
     assert [m.n_states for m in models] == [4, 11, 6, 8, 17]
-    assert [m.alphabet.size for m in models] == [6, 6, 6, 6, 8]
+    assert [m.alphabet.size for m in models] == [8] * 5
 
 
 # -- sign quotients ---------------------------------------------------------------
@@ -622,10 +624,11 @@ def test_sign_quotient_keeps_every_count_of_the_route_factors():
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
     for g in graphs + [path_graph(5), cycle_graph(5)]:
         alphabet, n = g.alphabet(), g.n_vertices
+        cyclic = languages._factors(g, languages._CYC_AVOID)
         for v in range(n):
             checker = geo_checker(g, alphabet, v)
             for factor in (checker, cyc_perm(complement_lang(checker)),
-                           languages._cyc_avoid(g, alphabet, v), intersect(checker, lprime_fsa(g, v))):
+                           cyclic[v], intersect(checker, lprime_fsa(g, v))):
                 divided = automata._sign_quotient(factor, v)
                 assert growth_series(divided) == growth_series(factor), (g.edges, v)
                 got, want = automata.vertex_quotient(divided), automata.vertex_quotient(factor)
@@ -635,16 +638,37 @@ def test_sign_quotient_keeps_every_count_of_the_route_factors():
                             == automata.restricted_growth_series(want, subset)), (g.edges, v, subset)
 
 
-@pytest.mark.parametrize("checker, build", [
-    (geo_checker, geo_fsa), (languages._cyc_geo, conjgeo_fsa), (languages._cyc_avoid, cycsl_fsa),
+def test_divided_model_pullbacks_keep_every_count_of_the_raw_pullbacks():
+    # the pullback lemma for sign quotients: dividing each model once, at its
+    # vertex 1, and minimizing each vertex's pullback of the quotient counts
+    # what the raw pullback counts, on the letters of every vertex subset
+    models = [languages._GEO, languages._CYC_GEO, languages._GEO_LPRIME, languages._CYC_AVOID]
+    quotients = [automata._sign_quotient(model, 1) for model in models]
+    graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
+    for g in graphs + [path_graph(5), cycle_graph(5)]:
+        alphabet, n = g.alphabet(), g.n_vertices
+        for v in range(n):
+            classes = languages._classes(g, v)
+            for model, quotient in zip(models, quotients):
+                divided = minimize(automata._pullback(quotient, alphabet, classes))
+                got = automata.vertex_quotient(divided)
+                want = automata.vertex_quotient(automata._pullback(model, alphabet, classes))
+                for mask in range(1 << n):
+                    subset = [u for u in range(n) if mask >> u & 1]
+                    assert (automata.restricted_growth_series(got, subset)
+                            == automata.restricted_growth_series(want, subset)), (g.edges, v, subset)
+
+
+@pytest.mark.parametrize("model, build", [
+    (languages._GEO, geo_fsa), (languages._CYC_GEO, conjgeo_fsa), (languages._CYC_AVOID, cycsl_fsa),
 ], ids=["geodesic", "conjugacy-geodesic", "cyclically-shortlex"])
-def test_divided_fold_counts_its_acceptor_for_every_letter_restriction(checker, build):
+def test_divided_fold_counts_its_acceptor_for_every_letter_restriction(model, build):
     # the counted fold accepts another language than the builder's acceptor,
     # with the same growth series on the letters of every vertex subset
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
     for g in graphs + [path_graph(5), cycle_graph(5)]:
         n = g.n_vertices
-        got = automata.vertex_quotient(languages._divided_fold(g, checker))
+        got = automata.vertex_quotient(languages._divided_fold(g, model))
         want = automata.vertex_quotient(build(g))
         for mask in range(1 << n):
             subset = [u for u in range(n) if mask >> u & 1]

@@ -292,12 +292,13 @@ def test_block_series_match_per_block_automata(g):
 
 
 def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
-    # the direct route counts the fold _divided_fold(g, _cyc_geo) unminimized
-    # (248 states on C6, 1,406 undivided): Hopcroft sees only the 11-state
-    # pullback of the closed checker complement, once per vertex, and no
-    # closure.  Incl-excl minimizes the 4- and 8-state pullbacks of L_v and
-    # L_v & L'_v
+    # the direct route counts the fold _divided_fold(g, _CYC_GEO) unminimized
+    # (248 states on C6, 1,406 undivided): Hopcroft sees only the 7-state
+    # pullback of the divided closed checker complement, once per vertex,
+    # and no closure.  Incl-excl minimizes the pullbacks of the divided
+    # L_v and L_v & L'_v
     g = cycle_graph(6)
+    assert languages._divided_fold(g, languages._CYC_GEO).n_states == 248
     sizes = []
     real = automata.minimize
 
@@ -308,9 +309,32 @@ def test_direct_conj_geodesic_route_minimizes_no_fold(monkeypatch):
     monkeypatch.setattr(automata, "minimize", spy)
     monkeypatch.setattr(languages, "minimize", spy)
     direct = conj_geodesic_series(g, "direct")
-    assert sizes == [11] * g.n_vertices
+    assert sizes == [7] * g.n_vertices
     assert direct == conj_geodesic_series(g, "incl-excl")
-    assert sizes and max(sizes) <= 11
+    assert sizes and max(sizes) <= 7
+
+
+@pytest.mark.parametrize("g", [path_graph(5), cycle_graph(6), complete_graph(3),
+                               SimpleGraph.make(["a", "b", "c"], [["a", "b"], ["a", "c"]])],
+                         ids=["P5", "C6", "Z3", "ZxF2"])
+def test_counted_routes_divide_each_model_once(g, monkeypatch):
+    # the sign swap is a symmetry of each model, carried to every vertex by
+    # the pullback: no route divides a per-vertex factor of its own
+    calls = []
+    real = languages._sign_quotient
+
+    def spy(dfa, v):
+        calls.append(v)
+        return real(dfa, v)
+
+    monkeypatch.setattr(languages, "_sign_quotient", spy)
+    for route, want in [(lambda: geodesic_series(g), 1),
+                        (lambda: conj_geodesic_series(g, "direct"), 1),
+                        (lambda: conj_geodesic_series(g, "incl-excl"), 2),
+                        (lambda: spherical_conj_series(g, 6), len(g.decompose(range(g.n_vertices))))]:
+        calls.clear()
+        route()
+        assert calls == [1] * want
 
 
 @pytest.mark.parametrize("g", [
@@ -321,10 +345,10 @@ def test_one_closure_per_maximal_block(g, monkeypatch):
     closed = []
     real = languages._divided_fold
 
-    def recording(induced, checker):
-        if checker is languages._cyc_avoid:
+    def recording(induced, model):
+        if model is languages._CYC_AVOID:
             closed.append(induced.vertices)
-        return real(induced, checker)
+        return real(induced, model)
 
     monkeypatch.setattr(languages, "_divided_fold", recording)
     spherical_conj_series(g, 6)
@@ -394,7 +418,7 @@ def _report_by_labels(report):
 
 def test_conj_growth_report_invariant_under_random_relabelling():
     # the vertex order fixes the letter order, and with it cyclic shortlex and
-    # the ordered class map of the cyclic checker _cyc_avoid; no block
+    # the class map, which the cyclic checker _CYC_AVOID reads in order; no block
     # fraction, no rho of one and no sigma~ coefficient may depend on it
     rng = random.Random(20261020)
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
