@@ -29,7 +29,6 @@ from .languages import (
     cycsl_support_series,
     geo_checker,
     geo_fsa,
-    lex_threat,
     lprime_fsa,
     shortlex_fsa,
 )

@@ -5,9 +5,8 @@ Given a defining graph, this module builds complete DFAs for:
 * ``geo_fsa``      -- geodesic words (no shuffle sequence creates a cancelling
                       pair), as an intersection of per-vertex checkers;
 * ``shortlex_fsa`` -- shortlex normal forms: geodesics that are also
-                      lexicographically least in their shuffle class, cut out
-                      by forbidden-factor automata (``lex_threat``) and then
-                      by the checkers;
+                      lexicographically least in their shuffle class, as an
+                      intersection of per-vertex forbidden-factor checkers;
 * ``cycsl_fsa``    -- words all of whose rotations are shortlex normal forms,
                       as an intersection of per-vertex cyclic checkers;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
@@ -40,11 +39,12 @@ factor is built once, at import, by its direct constructor
 (``_geo_checker_direct``, ``_lprime_direct``, ``_cyc_avoid_direct``) on the
 model graph ``_CHAIN``, whose vertices are the classes, and pulled back to
 every vertex by ``automata._pullback`` under the one class map
-``_classes``; only the cyclic checker reads the neighbours before v apart
-from those after it.  The pullback lemma in ``automata`` carries
-complement, products and cyclic closure through the map, so the minimized
-pullback is byte for byte the factor the direct constructor would build,
-and no vertex takes a closure, a product or a union of its own.
+``_classes``; only the shortlex and cyclic checkers, two accept sets of one
+table, read the neighbours before v apart from those after it.  The
+pullback lemma in ``automata`` carries complement, products and cyclic
+closure through the map, so the minimized pullback is byte for byte the
+factor the direct constructor would build, and no vertex takes a closure, a
+product or a union of its own.
 """
 
 from __future__ import annotations
@@ -181,35 +181,59 @@ def geo_fsa(g: SimpleGraph) -> Dfa:
 # shortlex normal forms
 # ---------------------------------------------------------------------------
 
-def lex_threat(g: SimpleGraph, alphabet: OrderedAlphabet, a: int, b: int) -> Dfa:
-    """Avoid the factor b s a with a < b commuting and s commuting with a.
+def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Words with no factor ``f s l``, l a letter of v, not even wrapped around the end.
 
-    A word is lexicographically least in its shuffle class exactly when it
-    has no factor ``b s a`` where ``a < b``, the vertices of a and b are
-    adjacent, and every letter of ``s`` has a vertex adjacent to a's vertex:
-    such a factor lets ``a`` shuffle left past everything, producing a smaller
-    word.  One three-state automaton per ordered letter pair.
+    f is l^-1 or a letter b > l on a vertex adjacent to v, and s commutes with
+    l.  The table has two accept sets: every live state accepts the words
+    with no such factor inside them (the model ``_SHORTLEX``), and the set
+    returned also rejects the states where one wraps around the end (the
+    model ``_CYC_AVOID``).
+
+    State 4 * first + bits, or dead.  ``first`` is 0 while every letter read
+    commutes with v, then 1 + i if the first one that does not is l_i =
+    ``vertex_letters(v)[i]``, else 3.  Bit i (a threat on l_i) is set by an f
+    for l_i, kept by letters commuting with v and cleared by others; l_i on
+    it is dead, and at the end it wraps onto a leading l_i if first = 1 + i.
     """
-    if not a < b:
-        raise ValueError("lex_threat needs a < b")
-    va, vb = alphabet.vertex(a), alphabet.vertex(b)
-    if va == vb:
-        raise ValueError("lex_threat letters must sit on distinct vertices")
-    if not g.adjacent(va, vb):
-        raise ValueError("lex_threat letters must sit on adjacent vertices")
-    return _avoid(g, alphabet, b, a)
+    own = alphabet.vertex_letters(v)
+    letters = range(alphabet.size)
+    near = [g.adjacent(alphabet.vertex(x), v) for x in letters]
+    dead = 16
+    table = []
+    for first, bits in (divmod(q, 4) for q in range(16)):
+        for x in letters:
+            i = own.index(x) if x in own else 2  # 2: not a letter of v; no bit 2
+            threats = sum(1 << j for j, l in enumerate(own)
+                          if x == l ^ 1 or near[x] and (x > l or bits >> j & 1))
+            lead = first or (0 if near[x] else 1 + i)
+            table.append(dead if bits >> i & 1 else 4 * lead + threats)
+    table += [dead] * alphabet.size
+    wrapped = {4 * (1 + i) + bits for i in (0, 1) for bits in (1 << i, 3)}
+    return Dfa(alphabet, 17, table, 0, set(range(16)) - wrapped)
+
+
+# The direct table reads a letter only by its class in ``_classes`` (a
+# neighbour's letter x > l for the letters l of v exactly when its vertex
+# comes after v), so each raw pullback of the model is the direct table.
+_CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
+
+
+# Every live state accepting: the forbidden factors inside the word only,
+# which leaves 5 states.
+_SHORTLEX = minimize(Dfa(_CYC_AVOID.alphabet, 17, _CYC_AVOID.transitions, 0, range(16)))
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:
-    """Shortlex normal forms: geodesics minimal in their shuffle class.
+    """Shortlex normal forms: the ``_acceptor`` of the pulled-back models ``_SHORTLEX``.
 
-    The ``lex_threat`` automata go into X* before the per-vertex checkers:
-    on Z^n the threats leave n + 1 states, where ``geo_fsa`` has 3^n.
+    A word is shortlex exactly when it has no forbidden factor f s l (see
+    the lemma in :func:`cycsl_fsa`): l^-1 s l, which a shuffle cancels, or
+    b s l with b > l on a vertex adjacent to l's, where l could shuffle left
+    past s and b to give a smaller word; s commutes with l.  Each vertex v
+    checks the factors that end in a letter of v.
     """
-    alphabet = g.alphabet()
-    threats = (lex_threat(g, alphabet, a, b) for u, w in sorted(g.edges)  # u < w, so a < b
-               for a in alphabet.vertex_letters(u) for b in alphabet.vertex_letters(w))
-    return _acceptor(alphabet, chain(threats, _factors(g, _GEO)))
+    return _acceptor(g.alphabet(), _factors(g, _SHORTLEX))
 
 
 # ---------------------------------------------------------------------------
@@ -243,45 +267,12 @@ def support_exact(language: Dfa, alphabet: OrderedAlphabet, subset) -> Dfa:
 # cyclically constrained languages
 # ---------------------------------------------------------------------------
 
-def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Words with no factor ``f s l``, l a letter of v, not even wrapped around the end.
-
-    f is l^-1 or a letter b > l on a vertex adjacent to v, and s commutes with
-    l.  State 4 * first + bits, or dead.  ``first`` is 0 while every letter
-    read commutes with v, then 1 + i if the first one that does not is l_i =
-    ``vertex_letters(v)[i]``, else 3.  Bit i (a threat on l_i) is set by an f
-    for l_i, kept by letters commuting with v and cleared by others; l_i on
-    it is dead, and at the end it wraps onto a leading l_i if first = 1 + i.
-    """
-    own = alphabet.vertex_letters(v)
-    letters = range(alphabet.size)
-    near = [g.adjacent(alphabet.vertex(x), v) for x in letters]
-    dead = 16
-    table = []
-    for first, bits in (divmod(q, 4) for q in range(16)):
-        for x in letters:
-            i = own.index(x) if x in own else 2  # 2: not a letter of v; no bit 2
-            threats = sum(1 << j for j, l in enumerate(own)
-                          if x == l ^ 1 or near[x] and (x > l or bits >> j & 1))
-            lead = first or (0 if near[x] else 1 + i)
-            table.append(dead if bits >> i & 1 else 4 * lead + threats)
-    table += [dead] * alphabet.size
-    wrapped = {4 * (1 + i) + bits for i in (0, 1) for bits in (1 << i, 3)}
-    return Dfa(alphabet, 17, table, 0, set(range(16)) - wrapped)
-
-
-# The direct table reads a letter only by its class in ``_classes`` (a
-# neighbour's letter x > l for the letters l of v exactly when its vertex
-# comes after v), so each raw pullback of the model is the direct table.
-_CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
-
-
 def cycsl_fsa(g: SimpleGraph) -> Dfa:
     """Words all of whose cyclic permutations are shortlex normal forms.
 
     A word is shortlex exactly when it has no forbidden factor f s l: a lex
-    threat b s a (``lex_threat``) or a geodesic pair x s x^-1
-    (``geo_checker``), s over the letters commuting with the last letter l.
+    threat b s l with b > l on a vertex adjacent to l's, or a geodesic pair
+    l^-1 s l (``geo_checker``), s over the letters commuting with l.
 
     Lemma.  Let w be shortlex.  Some rotation of w is not shortlex exactly
     when a forbidden factor f s l wraps around the end of w.  Then l, on

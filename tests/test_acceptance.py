@@ -13,7 +13,6 @@ checked ``Z_STAR_ZN_PUBLISHED[2]`` and ``PUBLISHED_AC``, and keep the
 printed display as an executable erratum identity.
 """
 
-import itertools
 from math import comb, prod
 
 import pytest
@@ -40,7 +39,8 @@ from raaggrowth import (
     conjgeo_fsa,
 )
 from raaggrowth.languages import cycsl_support_fsa, support_require
-from raaggrowth.oracle import cyclically_reduce, normal_form
+from raaggrowth import oracle
+from raaggrowth.oracle import cyclically_reduce
 from raaggrowth.series import PowerSeries, RationalFunction, euler_phi, neck, rho
 
 
@@ -286,13 +286,19 @@ def test_oracle_equivalence():
             geo = geo_fsa(g)
             conj = conjgeo_fsa(g)
             size = g.alphabet().size
-            nf_cache = {}
+            blockers = oracle._blockers(g)
+            forms = {(): ()}  # every word of the current length -> its normal form
             minlen_cache = {}
             for length in range(7):
-                for word in itertools.product(range(size), repeat=length):
-                    nf = nf_cache.get(word)
-                    if nf is None:
-                        nf = nf_cache[word] = normal_form(g, word)
+                if length:  # extend each shorter word's normal form by one letter
+                    longer = {}
+                    for word, nf in forms.items():
+                        for x in range(size):
+                            out = list(nf)
+                            oracle._insert(blockers, out, x)
+                            longer[word + (x,)] = tuple(out)
+                    forms = longer
+                for word, nf in forms.items():
                     assert geo.accepts(word) == (len(nf) == length), (label, word)
                     assert sl.accepts(word) == (nf == word), (label, word)
                     minlen = minlen_cache.get(nf)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -24,7 +25,6 @@ from raaggrowth import (
     geo_fsa,
     growth_series,
     intersect,
-    lex_threat,
     lprime_fsa,
     minimize,
     shortlex_fsa,
@@ -91,7 +91,7 @@ def test_geo_fsa_free_group(f2):
 
 def test_lex_threat_transitions(z2):
     alph = z2.alphabet()
-    d = lex_threat(z2, alph, 0, 2)  # a < b, commuting
+    d = reference_languages.lex_threat(z2, alph, 0, 2)  # a < b, commuting
     assert not d.accepts((2, 0))          # "ba" contains the factor
     assert d.accepts((2, 1, 0))           # a^-1 resets the threat
     assert d.accepts((0, 2))              # "ab" is fine
@@ -99,6 +99,7 @@ def test_lex_threat_transitions(z2):
 
 def test_lex_threat_preconditions(z2, f2):
     alph = z2.alphabet()
+    lex_threat = reference_languages.lex_threat
     with pytest.raises(ValueError):
         lex_threat(z2, alph, 2, 0)  # not a < b
     with pytest.raises(ValueError):
@@ -122,9 +123,9 @@ def test_shortlex_free_group_counts(f2):
 
 
 def test_shortlex_fsa_keeps_every_intersection_small(monkeypatch):
-    # the threats go into X* before the checkers, so Z^8 never carries the
-    # 3^8 = 6,561 states of its geodesic acceptor through a product or a
-    # minimization of the fold
+    # each vertex's factor rejects the lex threats that end at it as well as
+    # its cancelling pairs, so no partial fold of Z^8 carries the 3^8 = 6,561
+    # states of its geodesic acceptor through a product or a minimization
     real_product, real_minimize = automata._product, automata.minimize
     sizes = []
 
@@ -142,6 +143,25 @@ def test_shortlex_fsa_keeps_every_intersection_small(monkeypatch):
         monkeypatch.setattr(module, "minimize", minimize_spy)
     shortlex_fsa(complete_graph(8))
     assert sizes and max(sizes) <= 64
+
+
+_NAMED = {"empty": SimpleGraph.make([], []),
+          **{f"P{n}": path_graph(n) for n in range(4, 9)},
+          **{f"C{n}": cycle_graph(n) for n in range(5, 9)},
+          "co-P8": path_graph(8).complement(), "co-C8": cycle_graph(8).complement(),
+          "Z8": complete_graph(8), "F8": complete_graph(8).complement()}
+
+
+@pytest.mark.parametrize("g", _NAMED.values(), ids=_NAMED.keys())
+def test_shortlex_fsa_matches_threat_reference_on_named_graphs(g):
+    # one pulled-back model per vertex gives the same minimal automaton as
+    # the lex threats of every edge folded in before the geodesic checkers
+    assert shortlex_fsa(g).encode() == reference_languages.shortlex_fsa(g).encode()
+
+
+def test_shortlex_fsa_matches_threat_reference_up_to_four_vertices():
+    for g in (g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])):
+        assert shortlex_fsa(g).encode() == reference_languages.shortlex_fsa(g).encode(), sorted(g.edges)
 
 
 def _graphs_up_to_three_vertices():
@@ -407,13 +427,6 @@ def test_cycsl_matches_closure_reference(g):
     assert cycsl_fsa(g).encode() == reference_languages.cycsl_fsa(g).encode()
 
 
-_NAMED = {"empty": SimpleGraph.make([], []),
-          **{f"P{n}": path_graph(n) for n in range(4, 9)},
-          **{f"C{n}": cycle_graph(n) for n in range(5, 9)},
-          "co-P8": path_graph(8).complement(), "co-C8": cycle_graph(8).complement(),
-          "Z8": complete_graph(8), "F8": complete_graph(8).complement()}
-
-
 @pytest.mark.parametrize("g", _NAMED.values(), ids=_NAMED.keys())
 def test_cycsl_matches_closure_reference_on_named_graphs(g):
     assert cycsl_fsa(g).encode() == reference_languages.cycsl_fsa(g).encode()
@@ -539,7 +552,7 @@ def test_constraint_automata_match_factor_definitions():
         for a, b in itertools.combinations(range(alphabet.size), 2):
             if not g.adjacent(alphabet.vertex(a), alphabet.vertex(b)):
                 continue
-            threat = lex_threat(g, alphabet, a, b)
+            threat = reference_languages.lex_threat(g, alphabet, a, b)
             for word in words:
                 avoids = not _has_factor(g, alphabet, word, b, a)
                 assert threat.accepts(word) == avoids, (g.vertices, a, b, word)
@@ -585,34 +598,40 @@ def test_conjgeo_routes_share_no_automaton(g):
 def test_per_vertex_factors_equal_their_direct_constructions():
     # each per-vertex factor is its model pulled back through the vertex's
     # class map; the direct constructors on g itself must build the same
-    # automaton byte for byte, the raw 17-state cyclic checker included
+    # automaton byte for byte, the raw 17-state cyclic checker included, and
+    # the shortlex factor is the checker with the lex threats that end at v
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
     for g in graphs + [path_graph(5), cycle_graph(5), path_graph(6), cycle_graph(6)]:
         alphabet = g.alphabet()
         closed = languages._factors(g, languages._CYC_GEO)
         cyclic = languages._factors(g, languages._CYC_AVOID)
         geo_lprime = languages._factors(g, languages._GEO_LPRIME)
+        shortlex = languages._factors(g, languages._SHORTLEX)
         for v in range(g.n_vertices):
             checker = languages._geo_checker_direct(g, alphabet, v)
             lprime = languages._lprime_direct(g, alphabet, v)
+            threats = [reference_languages.lex_threat(g, alphabet, a, b)
+                       for w in g.neighbors(v) if w > v
+                       for a in alphabet.vertex_letters(v) for b in alphabet.vertex_letters(w)]
             for got, want in [
                 (geo_checker(g, alphabet, v), checker),
                 (lprime_fsa(g, v), lprime),
                 (minimize(closed[v]), complement_lang(cyc_perm(complement_lang(checker)))),
                 (cyclic[v], languages._cyc_avoid_direct(g, alphabet, v)),
                 (minimize(geo_lprime[v]), intersect(checker, lprime)),
+                (minimize(shortlex[v]), functools.reduce(intersect, threats, checker)),
             ]:
                 assert got.encode() == want.encode(), (g.vertices, sorted(g.edges), v)
 
 
 def test_letter_class_models_stay_tiny():
-    # the five models are all the per-vertex work done at import: the
-    # checker, its closed complement, L'_v, their intersection, and the
-    # cyclic checker, all on the 4-vertex model graph
+    # the six models are all the per-vertex work done at import: the
+    # checker, its closed complement, L'_v, their intersection, the cyclic
+    # checker and its unwrapped accept set, all on the 4-vertex model graph
     models = [languages._GEO, languages._CYC_GEO, languages._LPRIME, languages._GEO_LPRIME,
-              languages._CYC_AVOID]
-    assert [m.n_states for m in models] == [4, 11, 6, 8, 17]
-    assert [m.alphabet.size for m in models] == [8] * 5
+              languages._CYC_AVOID, languages._SHORTLEX]
+    assert [m.n_states for m in models] == [4, 11, 6, 8, 17, 5]
+    assert [m.alphabet.size for m in models] == [8] * 6
 
 
 # -- sign quotients ---------------------------------------------------------------
