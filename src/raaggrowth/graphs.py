@@ -14,7 +14,6 @@ product.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -152,32 +151,6 @@ class SimpleGraph:
             (local[i], local[j]) for (i, j) in self.edges if i in local and j in local
         )
         return SimpleGraph(tuple(self.vertices[v] for v in subset), edges)
-
-    def connected_components(self) -> list[frozenset[int]]:
-        """Maximal connected vertex sets by breadth-first search, ordered by least member."""
-        n = self.n_vertices
-        adjacency = [[] for _ in range(n)]
-        for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = [False] * n
-        components = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            queue = deque([start])
-            seen[start] = True
-            component = []
-            while queue:
-                v = queue.popleft()
-                component.append(v)
-                for w in adjacency[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            components.append(frozenset(component))
-        components.sort(key=min)
-        return components
 
     # -- complement decomposition ------------------------------------------
 

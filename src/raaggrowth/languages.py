@@ -19,11 +19,11 @@ Each language is an intersection of per-vertex conditions, each a
 letter-class model (below) pulled back to the vertex, and there are two
 folds.  ``_acceptor`` folds the raw pullbacks (``_factors``) into X* with
 ``automata._fold``, which minimizes, so the empty graph needs no branch and
-every builder is canonical.  The geodesic, direct conjugacy-geodesic and
-cyclically-shortlex series count ``_divided_fold`` instead, which divides
-each model once by its sign swap (``_divided_factors``) and multiplies the
-pullbacks unminimized; the inclusion-exclusion chain multiplies divided
-factors of its own.
+every builder is canonical.  The standard, geodesic, direct
+conjugacy-geodesic and cyclically-shortlex series count ``_divided_fold``
+instead, which divides each model once by its sign swap
+(``_divided_factors``) and multiplies the pullbacks unminimized; the
+inclusion-exclusion chain multiplies divided factors of its own.
 
 The conjugacy geodesics use De Morgan's law with the cyclic-permutation
 closure of ``automata.cyc_perm``.  The geodesics are the intersection of the

@@ -11,22 +11,23 @@ shuffled past.  It is computed once per graph.
   first greater letter after it.  The word stays the shortlex least of its
   shuffle class, i.e. the greedy order that always emits the least letter
   whose vertex no earlier letter blocks.
-* Cyclic reduction by peeling: a reduced word is cyclically reduced exactly
-  when no letter x that can be shuffled to the front has an inverse that can
-  be shuffled to the back; such pairs are removed until none is left.
+* One move: a letter x that can be shuffled to the front of a reduced
+  normal form goes to the back, and the word is renormalised.  It spells
+  the conjugate by x, and it is shorter exactly when x^-1 can be shuffled to
+  the back, so a reduced word is cyclically reduced exactly when no move
+  shortens it.  Cyclic reduction takes shortening moves until none is left.
 * Element sweep: a prefix of a normal form is a normal form, so every
   element of length k is a normal form u of length k-1 followed by one
   letter x.  The word u + (x,) is a normal form exactly when x's backward
   scan to its last blocker passes only letters below x and that blocker is
   not x^-1; each element is made once, with no copy and no dedupe set.
-* Class count, layer by layer: a normal form of length k that admits a peel
-  lies in a class of smaller minimal length, counted at an earlier layer.
-  Any other starts a class of minimal length k unless this layer's orbits
-  already hold it.  Its orbit under moving a front-movable letter to the
-  back and renormalising is the set of cyclically reduced normal forms of
-  the class (Servatius; Crisp, Godelle and Wiest), and its least member,
-  ``min(conjugacy_class_words(g, w))``, is the least minimal word of the
-  class, a canonical key.
+* Class count, layer by layer: a normal form of length k that a move
+  shortens lies in a class of smaller minimal length, counted at an earlier
+  layer.  Any other starts a class of minimal length k unless this layer's
+  orbits already hold it.  Its orbit under moves is the set of cyclically
+  reduced normal forms of the class (Servatius; Crisp, Godelle and Wiest),
+  and its least member, ``min(conjugacy_class_words(g, w))``, is the least
+  minimal word of the class, a canonical key.
 * Both enumerations refuse more than ``ORACLE_MAX_LENGTH`` letters and more
   than ``ORACLE_MAX_WORDS`` elements in the ball, before the work outgrows a
   desk.  The orbits of one length are subsets of that layer, so the ball's
@@ -104,17 +105,6 @@ def _shortlex(blockers, word) -> list:
     return out
 
 
-def _front_movable(blockers, letters) -> dict:
-    """Position of each letter that can be shuffled to the front of ``letters``."""
-    movable = {}
-    seen = 0  # OR of the blockers of the letters scanned so far
-    for p, x in enumerate(letters):
-        if not seen >> (x >> 1) & 1:
-            movable[x] = p
-        seen |= blockers[x >> 1]
-    return movable
-
-
 def normal_form(g: SimpleGraph, word) -> tuple:
     """Shortlex normal form of the group element spelled by ``word``."""
     return tuple(_shortlex(_blockers(g), word))
@@ -128,87 +118,81 @@ def is_geodesic(g: SimpleGraph, word) -> bool:
 # conjugacy machinery
 # ---------------------------------------------------------------------------
 
-def _peel(blockers, letters):
-    """Positions (i, j), i < j, of a peelable pair in the reduced ``letters``.
+def _moves(blockers, u):
+    """Normal forms reached from the reduced normal form ``u`` by one move.
 
-    The pair is a front-movable letter x and a back-movable x^-1: the word
-    is x u x^-1 up to shuffles and conjugates to u.  None when there is no
-    such pair, i.e. when the word is cyclically reduced.
+    A move takes a letter x that can be shuffled to the front of u, at
+    position p, to the back: the new normal form is u[:p] with the letters of
+    u[p+1:] and then x inserted one at a time; at p = 0 the greedy order of
+    u[1:] is already its own.  The result spells x^-1 u x, and it is shorter
+    than u exactly when x^-1 can be shuffled to the back, where x cancels it.
+    A letter that only its own vertex blocks commutes with the rest of u, so
+    its move changes nothing and is skipped, and the scan stops once the
+    blockers read cover the vertices of u.
     """
-    back = _front_movable(blockers, letters[::-1])
-    for x, p in _front_movable(blockers, letters).items():
-        if x ^ 1 in back:
-            # the inverse sits after x, since it blocks x
-            return p, len(letters) - 1 - back[x ^ 1]
-    return None
+    present = 0  # the vertices of u
+    for x in u:
+        present |= 1 << (x >> 1)
+    seen = 0  # OR of the blockers of u[:p]
+    for p, x in enumerate(u):
+        v = x >> 1
+        stop = blockers[v]
+        if not seen >> v & 1 and stop & present != 1 << v:
+            if p:
+                out = list(u[:p])
+                for y in u[p + 1:]:
+                    _insert(blockers, out, y)
+            else:
+                out = list(u[1:])
+            _insert(blockers, out, x)
+            yield tuple(out)
+        seen |= stop
+        if seen & present == present:
+            break  # no later letter is front-movable
+
+
+def _orbit(blockers, start):
+    """The orbit of the normal form ``start`` under moves, or None if a move shortens it.
+
+    A reduced word is cyclically reduced exactly when no move shortens it.
+    From a cyclically reduced start, the moves reach the normal form of
+    every minimal-length word in the class, i.e. of every rotation of every
+    shuffle (Servatius), since each shuffle starts with a front-movable
+    letter; none of them is shorter.
+    """
+    orbit = {start}
+    stack = [start]
+    while stack:
+        for moved in _moves(blockers, stack.pop()):
+            if len(moved) < len(start):
+                return None
+            if moved not in orbit:
+                orbit.add(moved)
+                stack.append(moved)
+    return orbit
 
 
 def cyclically_reduce(g: SimpleGraph, word) -> tuple:
     """A minimal-length conjugate of ``word``, in normal form.
 
-    Reduce the word, then peel pairs until none is left.  A reduced word
-    with no peelable pair is cyclically reduced, hence of minimal length in
-    its conjugacy class.
+    Reduce the word, then take shortening moves until none is left.  A
+    reduced word that no move shortens is cyclically reduced, hence of
+    minimal length in its conjugacy class.
     """
     blockers = _blockers(g)
-    letters = _shortlex(blockers, word)
-    while (pair := _peel(blockers, letters)) is not None:
-        i, j = pair
-        del letters[j], letters[i]
-    return tuple(_shortlex(blockers, letters))
+    u = tuple(_shortlex(blockers, word))
+    while (shorter := next((m for m in _moves(blockers, u) if len(m) < len(u)), None)) is not None:
+        u = shorter
+    return u
 
 
 def is_conjugacy_geodesic(g: SimpleGraph, word) -> bool:
     return len(cyclically_reduce(g, word)) == len(word)
 
 
-def conjugacy_class_words(g: SimpleGraph, word, _reduced=False) -> frozenset:
-    """Normal forms of the minimal-length words in the conjugacy class of ``word``.
-
-    The orbit of one cyclically reduced normal form u under a single move: a
-    letter x that can be shuffled to the front of u, at position p, goes to
-    the back.  The new normal form is u[:p] with the letters of u[p+1:] and
-    then x inserted one at a time; at p = 0 the greedy order of u[1:] is
-    already its own.  Every word of u's shuffle class starts with such a
-    letter, so the moves reach the normal form of every rotation of every
-    shuffle, i.e. of every minimal-length word in the class (Servatius).
-    All of them spell the same letters, so the scan for front-movable
-    letters stops once the blockers read cover the vertices of u.
-    ``_reduced`` says that ``word`` is already a cyclically reduced normal
-    form.
-    """
-    blockers = _blockers(g)
-    start = tuple(word) if _reduced else cyclically_reduce(g, word)
-    present = 0  # the vertices of every word in the orbit
-    for x in start:
-        present |= 1 << (x >> 1)
-    orbit = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        seen = 0  # OR of the blockers of u[:p]
-        for p, x in enumerate(u):
-            v = x >> 1
-            stop = blockers[v]
-            # x is front-movable, and a letter of another vertex blocks it;
-            # if none does, x commutes with all of u but its own copies and
-            # the move changes nothing
-            if not seen >> v & 1 and stop & present != 1 << v:
-                if p:
-                    out = list(u[:p])
-                    for y in u[p + 1:]:
-                        _insert(blockers, out, y)
-                else:
-                    out = list(u[1:])  # the greedy order of u after its first letter
-                _insert(blockers, out, x)
-                moved = tuple(out)
-                if moved not in orbit:
-                    orbit.add(moved)
-                    stack.append(moved)
-            seen |= stop
-            if seen & present == present:
-                break  # no later letter is front-movable
-    return frozenset(orbit)
+def conjugacy_class_words(g: SimpleGraph, word) -> set:
+    """Normal forms of the minimal-length words in the conjugacy class of ``word``."""
+    return _orbit(_blockers(g), cyclically_reduce(g, word))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +243,8 @@ def element_counts(g: SimpleGraph, max_length: int) -> list[int]:
 def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
     """Number of conjugacy classes whose minimal length is k, for k <= max_length.
 
-    Each layer of the ball is walked once.  A normal form with a peelable
-    pair has a shorter conjugate, so its class was counted at an earlier
+    Each layer of the ball is walked once.  A normal form that a move
+    shortens has a shorter conjugate, so its class was counted at an earlier
     layer.  Any other is cyclically reduced: unless ``seen`` holds it, it
     starts a class of minimal length k, whose orbit holds every cyclically
     reduced normal form of the class.  Orbits of one length are subsets of
@@ -272,9 +256,8 @@ def enumerate_classes(g: SimpleGraph, max_length: int) -> list[int]:
         seen = set()
         count = 0
         for w in layer:
-            if w in seen or _peel(blockers, w) is not None:
-                continue
-            count += 1
-            seen |= conjugacy_class_words(g, w, _reduced=True)
+            if w not in seen and (orbit := _orbit(blockers, w)) is not None:
+                count += 1
+                seen |= orbit
         counts.append(count)
     return counts

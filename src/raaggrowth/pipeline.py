@@ -33,10 +33,10 @@ from .graphs import GraphError, SimpleGraph
 from .languages import (
     _CYC_GEO,
     _GEO,
+    _SHORTLEX,
     _divided_fold,
     conjgeo_series_incl_excl,
     cycsl_support_table,
-    shortlex_fsa,
 )
 from .series import InvariantError, PowerSeries, RationalFunction, neck, poly_mul, rho
 
@@ -104,8 +104,12 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
 
 
 def spherical_growth_series(g: SimpleGraph) -> RationalFunction:
-    """Standard growth series: one shortlex normal form per element."""
-    return growth_series(shortlex_fsa(g))
+    """Standard growth series, counted on the ``languages._divided_fold`` of the shortlex model.
+
+    The pullbacks of ``_SHORTLEX`` intersect to ``shortlex_fsa``, which
+    holds one normal form per element.
+    """
+    return growth_series(_divided_fold(g, _SHORTLEX))
 
 
 def geodesic_series(g: SimpleGraph) -> RationalFunction:
@@ -149,7 +153,7 @@ def cograph_series(g: SimpleGraph, degree: int) -> tuple | None:
     if n == 1:
         zz = RationalFunction.make((1, 1), _ONE_MINUS_Z)
         return zz, zz.expand(degree)
-    components = g.connected_components()
+    components = g.complement().decompose(range(n))  # the components of g, by least member
     parts = components if len(components) > 1 else g.decompose(range(n))
     if len(parts) == 1:
         return None  # connected with a connected complement: not a cograph
@@ -218,6 +222,6 @@ def detect_part1_family(g: SimpleGraph) -> str | None:
             return f"z-star-z-{len(others)}"
     if n == 4 and len(g.edges) == 3:
         degrees = sorted(sum(1 for e in g.edges if v in e) for v in range(4))
-        if degrees == [1, 1, 2, 2] and len(g.connected_components()) == 1:
+        if degrees == [1, 1, 2, 2]:  # the only such graph on four vertices
             return "path4"
     return None

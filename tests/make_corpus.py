@@ -1,12 +1,19 @@
 """Write the exact-output corpus: every endpoint on one graph per isomorphism class.
 
     PYTHONPATH=src python tests/make_corpus.py
+    PYTHONPATH=src python tests/make_corpus.py --check
 
-writes ``tests/corpus/graphs_1_to_5.json``: the 52 graphs on 1 to 5 vertices
-up to isomorphism, each with its standard, geodesic and both
-conjugacy-geodesic growth functions and its spherical conjugacy growth
-report to degree 12.  ``tests/test_corpus.py`` recomputes every entry, so a
-change that alters any output on these graphs fails tier-1.
+The first writes two files.  ``tests/corpus/graphs_1_to_5.json`` holds the
+52 graphs on 1 to 5 vertices up to isomorphism, and
+``tests/corpus/graphs_6.json`` the 156 graphs on 6 vertices plus the
+8-vertex path, cycle, complete and edgeless graphs P8, C8, Z8 and F8.  Each
+graph comes with its standard, geodesic and both conjugacy-geodesic growth
+functions and its spherical conjugacy growth report to degree 12.
+``tests/test_corpus.py`` recomputes every entry of the first file, so a
+change that alters any output on those graphs fails tier-1.  The second
+file takes about half a minute to recompute and is left out of tier-1;
+``--check`` recomputes the stored graphs' entries of both files, without
+re-enumerating the classes, and exits nonzero on the first difference.
 
 Each class is represented by its brute-force canonical form: the least edge
 mask over all relabellings of the vertices v0 < v1 < ..., with bit i for the
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from pathlib import Path
 
 from raaggrowth import SimpleGraph
@@ -30,6 +38,7 @@ from raaggrowth.pipeline import (
 )
 
 CORPUS = Path(__file__).resolve().parent / "corpus" / "graphs_1_to_5.json"
+CORPUS_6 = CORPUS.with_name("graphs_6.json")
 DEGREE = 12  # truncation degree of the spherical conjugacy growth series
 
 
@@ -51,6 +60,14 @@ def graph_of(n: int, mask: int) -> SimpleGraph:
                                      if mask >> i & 1])
 
 
+def eight_vertex_graphs() -> list:
+    """P8, C8, Z8 (the complete graph) and F8 (the edgeless graph), on v0, ..., v7."""
+    labels = [f"v{i}" for i in range(8)]
+    ring = [[labels[i], labels[(i + 1) % 8]] for i in range(8)]
+    return [SimpleGraph.make(labels, ring[:-1]), SimpleGraph.make(labels, ring),
+            SimpleGraph.make(labels, itertools.combinations(labels, 2)), SimpleGraph.make(labels, [])]
+
+
 def entry(g: SimpleGraph) -> dict:
     """Every endpoint's full exact output on ``g``, as the CLI renders it."""
     return {
@@ -62,13 +79,33 @@ def entry(g: SimpleGraph) -> dict:
     }
 
 
-def corpus() -> list:
-    graphs = [graph_of(n, mask) for n in range(1, 6) for mask in sorted(set(least_masks(n)))]
+def corpus(graphs) -> list:
     return [{"vertices": list(g.vertices), "edges": sorted(sorted(g.vertices[v] for v in e) for e in g.edges),
              **entry(g)} for g in graphs]
 
 
+def classes(sizes) -> list:
+    """One graph per isomorphism class on each number of vertices in ``sizes``, by least mask."""
+    return [graph_of(n, mask) for n in sizes for mask in sorted(set(least_masks(n)))]
+
+
+def check(path: Path) -> bool:
+    """Whether every stored graph of the corpus file ``path`` still gets its stored entry."""
+    for item in json.loads(path.read_text(encoding="utf-8")):
+        got = entry(SimpleGraph.make(item["vertices"], item["edges"]))
+        for key, value in got.items():
+            if value != item[key]:
+                print(f"{path.name}: {key} differs on {item['vertices']} {item['edges']}", file=sys.stderr)
+                return False
+    return True
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(0 if all(check(path) for path in (CORPUS, CORPUS_6)) else 1)
+    if sys.argv[1:]:
+        sys.exit("usage: make_corpus.py [--check]")
     CORPUS.parent.mkdir(exist_ok=True)
-    lines = ",\n".join(json.dumps(item, separators=(",", ":")) for item in corpus())
-    CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")  # one graph per line
+    for path, graphs in ((CORPUS, classes(range(1, 6))), (CORPUS_6, classes([6]) + eight_vertex_graphs())):
+        lines = ",\n".join(json.dumps(item, separators=(",", ":")) for item in corpus(graphs))
+        path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")  # one graph per line

@@ -122,9 +122,13 @@ def test_bitmask_oracle_matches_naive_definitions(case):
     g, word = case
     assert normal_form(g, word) == naive_oracle.normal_form(g, word)
     reduced = cyclically_reduce(g, word)
-    assert len(reduced) == len(naive_oracle.cyclically_reduce(g, word))
+    naive_reduced = naive_oracle.cyclically_reduce(g, word)
+    assert len(reduced) == len(naive_reduced)
     assert normal_form(g, reduced) == reduced
     assert min(conjugacy_class_words(g, word)) == naive_oracle.conjugacy_key(g, word)
+    # a move shortens the normal form exactly when a rotation does
+    shortened = len(naive_reduced) < len(normal_form(g, word))
+    assert (oracle._orbit(oracle._blockers(g), normal_form(g, word)) is None) == shortened
 
 
 def test_oracle_imports_no_automata_code():
@@ -198,7 +202,7 @@ def test_class_orbits_are_the_normal_forms_of_the_naive_closure():
                     continue
                 expected = {normal_form(g, u) for u in naive_oracle.rotation_swap_closure(g, w)}
                 for u in expected:
-                    assert conjugacy_class_words(g, u, _reduced=True) == expected, (g, u)
+                    assert oracle._orbit(oracle._blockers(g), u) == expected, (g, u)
                 checked |= expected
 
 
@@ -252,14 +256,17 @@ def test_class_count_runs_one_closure_per_class(monkeypatch, path4):
         raise AssertionError("the class count called a per-word routine")
 
     closures = []
+    orbit = oracle._orbit
 
-    def counted(*args, **kwargs):
-        closures.append(args[1])
-        return conjugacy_class_words(*args, **kwargs)
+    def counted(blockers, start):
+        result = orbit(blockers, start)
+        if result is not None:
+            closures.append(start)
+        return result
 
     monkeypatch.setattr(oracle, "normal_form", refuse)
     monkeypatch.setattr(oracle, "cyclically_reduce", refuse)
-    monkeypatch.setattr(oracle, "conjugacy_class_words", counted)
+    monkeypatch.setattr(oracle, "_orbit", counted)
     counts = enumerate_classes(path4, 5)
     assert len(closures) == sum(counts)
     assert len(set(closures)) == len(closures)
