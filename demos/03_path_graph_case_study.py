@@ -34,7 +34,7 @@ def poly_product(*factors):
 path4 = SimpleGraph.make(["a", "b", "c", "d"], [["a", "b"], ["b", "c"], ["c", "d"]])
 
 print("1. Conjugacy geodesic growth series, two independent routes")
-direct = conj_geodesic_series(path4, "direct")        # cyclic closure of the geodesic acceptor
+direct = conj_geodesic_series(path4, "direct")        # words whose every rotation is geodesic
 incl_excl = conj_geodesic_series(path4, "incl-excl")  # alternating sum over cancelling-pair languages
 print("   direct == inclusion-exclusion:", direct == incl_excl)
 print("   numerator:  ", list(direct.num))

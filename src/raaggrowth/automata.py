@@ -148,9 +148,11 @@ class Dfa:
         self.transitions = tuple(transitions)  # row-major: state * size + letter
         self.initial = initial
         self.accepting = frozenset(accepting)
+        if n_states < 1:
+            raise ValueError("a complete DFA needs at least its initial state")
         if len(self.transitions) != n_states * alphabet.size:
             raise ValueError("transition table size does not match state count")
-        if not 0 <= initial < max(n_states, 1):
+        if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
         if self.transitions and (min(self.transitions) < 0 or max(self.transitions) >= n_states):
             raise ValueError("transition target out of range")
@@ -210,8 +212,6 @@ def minimize(dfa: Dfa) -> Dfa:
     n = dfa.n_states
     size = dfa.alphabet.size
     transitions = dfa.transitions
-    if n == 0:
-        return dfa
 
     # Hopcroft partition refinement.  A DFA lists each state once among the
     # predecessors of its successor under a letter, so a splitter's preimage

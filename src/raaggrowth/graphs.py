@@ -97,8 +97,10 @@ class SimpleGraph:
                     if end not in index:
                         raise GraphError(f"unknown endpoint label {end!r}")
                     ends.append(index[end])
+                elif type(end) is int:  # bool is an int subclass; floats are not rounded
+                    ends.append(end)
                 else:
-                    ends.append(int(end))
+                    raise GraphError(f"endpoint {end!r} is neither a vertex label nor an index")
             i, j = ends
             if i == j:
                 raise GraphError(f"loop edge at {pair!r}")

@@ -10,7 +10,8 @@ Given a defining graph, this module builds complete DFAs for:
 * ``cycsl_fsa``    -- words all of whose rotations are shortlex normal forms,
                       as an intersection of per-vertex cyclic checkers;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
-                      geodesic, as an intersection of per-vertex closures;
+                      geodesic, as an intersection of per-vertex cyclic
+                      geodesic checkers;
 * ``lprime_fsa``   -- words with a cancelling generator pair up to rotation
                       and shuffling, used for the inclusion-exclusion route to
                       the conjugacy geodesic growth series.
@@ -25,26 +26,29 @@ instead, which divides each model once by its sign swap
 (``_divided_factors``) and multiplies the pullbacks unminimized; the
 inclusion-exclusion chain multiplies divided factors of its own.
 
-The conjugacy geodesics use De Morgan's law with the cyclic-permutation
-closure of ``automata.cyc_perm``.  The geodesics are the intersection of the
-checkers L_v, and a word is conjugacy geodesic exactly when no rotation of
-it leaves some L_v, so ``CycL = intersection_v (X* \\ CycPerm(X* \\ L_v))``.
-Closing the four-state checker's complement is far cheaper than closing the
-complement of the whole geodesic acceptor (hundreds of states), and on the
-model below it is closed once, at import, for every vertex of every graph.
+Every per-vertex condition rejects forbidden factors f s l, with l a letter
+of the vertex and s over the letters commuting with l: f = l^-1 for the
+geodesics, and also a letter f > l of a neighbour for the shortlex normal
+forms.  The cyclic forms reject those factors also where they wrap around
+the end of the word (the lemma in :func:`cycsl_fsa`), so no language takes a
+cyclic closure.
 
 Every per-vertex factor reads a letter only by its class: a letter of v, a
 letter of a neighbour of v before or after v, or any other letter.  So each
-factor is built once, at import, by its direct constructor
-(``_geo_checker_direct``, ``_lprime_direct``, ``_cyc_avoid_direct``) on the
-model graph ``_CHAIN``, whose vertices are the classes, and pulled back to
-every vertex by ``automata._pullback`` under the one class map
-``_classes``; only the shortlex and cyclic checkers, two accept sets of one
-table, read the neighbours before v apart from those after it.  The
-pullback lemma in ``automata`` carries complement, products and cyclic
-closure through the map, so the minimized pullback is byte for byte the
-factor the direct constructor would build, and no vertex takes a closure, a
-product or a union of its own.
+factor is built once, at import, as a model on the model graph ``_CHAIN``,
+whose vertices are the classes, and pulled back to every vertex by
+``automata._pullback`` under the one class map ``_classes``.  Four of the
+six models are the two accept sets of one table (``_cyc_avoid_direct``):
+``_SHORTLEX`` and ``_CYC_AVOID`` read it as it is, and ``_GEO`` and
+``_CYC_GEO`` read it through the map that sends the neighbours after v to
+those before it, where no lex threat is left.  ``_LPRIME`` has a direct
+constructor of its own (``_lprime_direct``), which keeps the
+inclusion-exclusion route independent of the direct one, and
+``_GEO_LPRIME`` intersects it with ``_GEO``.  A pullback of a pullback is
+the pullback through the composed map, and the pullback lemma in
+``automata`` carries products through the map, so the minimized pullback
+is byte for byte the factor a direct construction on the graph itself
+builds, and no vertex takes a closure, a product or a union of its own.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ from .automata import (
     _signed_growth_series,
     all_words_dfa,
     complement_lang,
-    cyc_perm,
     intersect,
     minimize,
     restricted_growth_series,
@@ -129,56 +132,7 @@ def _divided_fold(g: SimpleGraph, model: Dfa) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# geodesic checkers
-# ---------------------------------------------------------------------------
-
-def _avoid(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> Dfa:
-    """Words with no factor ``first s last``, s over letters commuting with ``last``.
-
-    States: idle / threat (a ``first`` that ``last`` could still meet) / dead.
-    In the threat state another ``first`` keeps the threat, since it opens a
-    new candidate factor even when it does not commute with ``last``.
-    """
-    idle, threat, dead = range(3)
-    home = alphabet.vertex(last)
-    letters = range(alphabet.size)
-    table = [threat if x == first else idle for x in letters]
-    table += [dead if x == last else threat if x == first or g.adjacent(alphabet.vertex(x), home)
-              else idle for x in letters]
-    table += [dead] * alphabet.size
-    return Dfa(alphabet, 3, table, idle, {idle, threat})
-
-
-def _geo_checker_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
-
-    Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
-    with every letter of s on a vertex adjacent to v: the two ``_avoid``
-    automata for e = +1 and e = -1, intersected into four states.
-    """
-    pos, neg = alphabet.vertex_letters(v)
-    return intersect(_avoid(g, alphabet, pos, neg), _avoid(g, alphabet, neg, pos))
-
-
-_GEO = _geo_checker_direct(_CHAIN, _CHAIN.alphabet(), 1)
-
-
-def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
-
-    The minimized pullback of the model ``_GEO`` through ``_classes(g, v)``:
-    the automaton ``_geo_checker_direct(g, alphabet, v)`` builds.
-    """
-    return minimize(_pullback(_GEO, alphabet, _classes(g, v)))
-
-
-def geo_fsa(g: SimpleGraph) -> Dfa:
-    """Geodesic words of the group: the ``_acceptor`` of the pulled-back checkers ``_GEO``."""
-    return _acceptor(g.alphabet(), _factors(g, _GEO))
-
-
-# ---------------------------------------------------------------------------
-# shortlex normal forms
+# the forbidden-factor table and its four models
 # ---------------------------------------------------------------------------
 
 def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
@@ -222,6 +176,36 @@ _CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
 # Every live state accepting: the forbidden factors inside the word only,
 # which leaves 5 states.
 _SHORTLEX = minimize(Dfa(_CYC_AVOID.alphabet, 17, _CYC_AVOID.transitions, 0, range(16)))
+
+
+# Read through the map that sends the neighbour b of v to s, every neighbour
+# of v comes before v, so the table meets no lex threat (a letter b > l): it
+# rejects only l^-1 s l, inside the word for the geodesic checker (4 states),
+# or also wrapped around its end, so that every rotation is geodesic (the
+# lemma in ``cycsl_fsa`` with f = l^-1; 11 states).  Both are closed under
+# the sign swap and read the two letters of any other vertex alike, so
+# ``_divided_factors`` divides them.
+_GEO = minimize(_pullback(_SHORTLEX, _CHAIN.alphabet(), [0, 1, 0, 3]))
+_CYC_GEO = minimize(_pullback(_CYC_AVOID, _CHAIN.alphabet(), [0, 1, 0, 3]))
+
+
+# ---------------------------------------------------------------------------
+# geodesics and shortlex normal forms
+# ---------------------------------------------------------------------------
+
+def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
+
+    Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
+    with every letter of s on a vertex adjacent to v.  The checker is the
+    minimized pullback of the model ``_GEO`` through ``_classes(g, v)``.
+    """
+    return minimize(_pullback(_GEO, alphabet, _classes(g, v)))
+
+
+def geo_fsa(g: SimpleGraph) -> Dfa:
+    """Geodesic words of the group: the ``_acceptor`` of the pulled-back checkers ``_GEO``."""
+    return _acceptor(g.alphabet(), _factors(g, _GEO))
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:
@@ -289,13 +273,6 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
     measured 7-80x slower on co-C8 and co-P8.
     """
     return _acceptor(g.alphabet(), _factors(g, _CYC_AVOID))
-
-
-# X* \ CycPerm(X* \ L) on the model (11 states): no vertex takes a ``cyc_perm``
-# of its own.  The closure is closed under the sign swap and reads the two
-# letters of any other vertex alike, so ``_divided_factors`` divides it; the
-# division comes after the closure, since the two do not commute.
-_CYC_GEO = complement_lang(cyc_perm(complement_lang(_GEO)))
 
 
 def conjgeo_fsa(g: SimpleGraph) -> Dfa:

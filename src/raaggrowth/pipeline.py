@@ -124,8 +124,8 @@ def geodesic_series(g: SimpleGraph) -> RationalFunction:
 def conj_geodesic_series(g: SimpleGraph, method: str = "direct") -> RationalFunction:
     """Conjugacy geodesic growth series.
 
-    ``direct`` counts the ``languages._divided_fold`` of the closed checker
-    model ``_CYC_GEO``, whose pullbacks intersect to ``conjgeo_fsa``;
+    ``direct`` counts the ``languages._divided_fold`` of the cyclic geodesic
+    checker model ``_CYC_GEO``, whose pullbacks intersect to ``conjgeo_fsa``;
     ``incl-excl`` evaluates the alternating sum over vertex subsets.  The two
     routes are independent and must agree.
     """

@@ -156,7 +156,11 @@ class PowerSeries:
 
     @staticmethod
     def from_list(values) -> "PowerSeries":
-        return PowerSeries(tuple(int(v) for v in values))
+        values = tuple(values)
+        for v in values:
+            if type(v) is not int:  # bool is an int subclass; floats and fractions are not rounded
+                raise ValueError(f"series coefficients must be ints, got {v!r}")
+        return PowerSeries(values)
 
     @staticmethod
     def one(max_degree: int) -> "PowerSeries":

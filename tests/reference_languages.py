@@ -1,13 +1,20 @@
-"""Reference constructions: the straightforward forms of five library routes.
+"""Reference constructions: the straightforward forms of six library routes.
 
+* ``geo_checker`` (``geo_checker_direct`` here): two three-state ``avoid``
+  automata, one per sign of the cancelling pair, intersected.  The library
+  reads the shortlex checker's table through the map that sends every
+  neighbour of the vertex before it, where no lex threat is left.  The
+  reference checker's closed complement X* \\ CycPerm(X* \\ L_v) is the
+  reference for the library's cyclic geodesic checker, the table's cyclic
+  accept set read through the same map.
 * ``shortlex_fsa``: one three-state automaton per forbidden lex factor
   (``lex_threat``), folded into X* before the per-vertex geodesic checkers.
   The library reads every forbidden factor ending at a vertex off one
   pulled-back model instead, the cyclic checker's table with its live states
   accepting.
 * ``conjgeo_fsa``: complement the geodesic acceptor, close that under cyclic
-  permutation, and complement again.  The library closes the complement of
-  each per-vertex checker instead and unions the results.
+  permutation, and complement again.  The library intersects one cyclic
+  geodesic checker per vertex instead, with no closure.
 * ``cycsl_fsa``: the same closure identity on the reference shortlex
   acceptor.  The library intersects one cyclic checker per vertex instead,
   with no closure.
@@ -43,7 +50,7 @@ from raaggrowth.automata import (
 )
 from raaggrowth.graphs import GraphError, OrderedAlphabet, SimpleGraph
 from raaggrowth import languages
-from raaggrowth.languages import cycsl_support_fsa, geo_checker, geo_fsa
+from raaggrowth.languages import cycsl_support_fsa, geo_fsa
 from raaggrowth.series import PowerSeries, RationalFunction, rho
 
 
@@ -63,7 +70,35 @@ def lex_threat(g: SimpleGraph, alphabet: OrderedAlphabet, a: int, b: int) -> Dfa
         raise ValueError("lex_threat letters must sit on distinct vertices")
     if not g.adjacent(va, vb):
         raise ValueError("lex_threat letters must sit on adjacent vertices")
-    return languages._avoid(g, alphabet, b, a)
+    return avoid(g, alphabet, b, a)
+
+
+def avoid(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> Dfa:
+    """Words with no factor ``first s last``, s over letters commuting with ``last``.
+
+    States: idle / threat (a ``first`` that ``last`` could still meet) / dead.
+    In the threat state another ``first`` keeps the threat, since it opens a
+    new candidate factor even when it does not commute with ``last``.
+    """
+    idle, threat, dead = range(3)
+    home = alphabet.vertex(last)
+    letters = range(alphabet.size)
+    table = [threat if x == first else idle for x in letters]
+    table += [dead if x == last else threat if x == first or g.adjacent(alphabet.vertex(x), home)
+              else idle for x in letters]
+    table += [dead] * alphabet.size
+    return Dfa(alphabet, 3, table, idle, {idle, threat})
+
+
+def geo_checker_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
+
+    Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
+    with every letter of s on a vertex adjacent to v: the two ``avoid``
+    automata for e = +1 and e = -1, intersected into four states.
+    """
+    pos, neg = alphabet.vertex_letters(v)
+    return intersect(avoid(g, alphabet, pos, neg), avoid(g, alphabet, neg, pos))
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:
@@ -75,7 +110,7 @@ def shortlex_fsa(g: SimpleGraph) -> Dfa:
     alphabet = g.alphabet()
     threats = (lex_threat(g, alphabet, a, b) for u, w in sorted(g.edges)  # u < w, so a < b
                for a in alphabet.vertex_letters(u) for b in alphabet.vertex_letters(w))
-    checkers = (geo_checker(g, alphabet, v) for v in range(g.n_vertices))
+    checkers = (geo_checker_direct(g, alphabet, v) for v in range(g.n_vertices))
     return reduce(intersect, chain(threats, checkers), all_words_dfa(alphabet))
 
 

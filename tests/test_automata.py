@@ -75,6 +75,7 @@ def test_epsilon_and_empty():
     (2, [0, 1, -1, 0], 0, {0}, "transition target out of range"),
     (2, [0, 1, 1, 0], 0, {2}, "accepting state out of range"),
     (2, [0, 1, 1, 0], 0, {-1}, "accepting state out of range"),
+    (0, [], 0, set(), "at least its initial state"),  # no state to start in or to accept
 ])
 def test_dfa_rejects_malformed_table(n_states, table, initial, accepting, message):
     with pytest.raises(ValueError, match=message):

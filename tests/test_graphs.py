@@ -38,6 +38,13 @@ def test_parse_errors(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("edge", [[0, 1.9], ["a", True], ["a", None]], ids=["float", "bool", "none"])
+def test_make_takes_only_labels_and_int_indices(edge):
+    # an endpoint is a known label or an index of type int; nothing is rounded or coerced
+    with pytest.raises(GraphError, match="neither a vertex label nor an index"):
+        SimpleGraph.make(["a", "b"], [edge])
+
+
 def test_complement_path(path4):
     comp = path4.complement()
     assert sorted(comp.edges) == [(0, 2), (0, 3), (1, 3)]  # path c-a-d-b

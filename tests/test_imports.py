@@ -1,6 +1,8 @@
-"""The runtime of the package is stdlib-only."""
+"""The runtime of the package is stdlib-only, compiles cleanly and imports without a closure."""
 
 import ast
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -36,3 +38,30 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+# Counts the calls into raaggrowth/automata.py by function name while the
+# package is imported; run in a fresh interpreter, where nothing is cached.
+IMPORT_CALLS = """
+import collections, os, sys
+calls = collections.Counter()
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.endswith(os.path.join("raaggrowth", "automata.py")):
+        calls[frame.f_code.co_name] += 1
+sys.setprofile(profile)
+import raaggrowth
+sys.setprofile(None)
+print(calls["cyc_perm"], calls["minimize"])
+"""
+
+
+def test_import_builds_no_model_by_a_closure():
+    # every letter-class model is a table, a pullback of one or a product:
+    # importing the package takes no cyclic closure (minimize shows the hook sees the calls)
+    root = str(Path(raaggrowth.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": root}
+    done = subprocess.run([sys.executable, "-c", IMPORT_CALLS], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    closures, minimizations = map(int, done.stdout.split())
+    assert closures == 0
+    assert minimizations >= 1

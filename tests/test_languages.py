@@ -608,7 +608,7 @@ def test_per_vertex_factors_equal_their_direct_constructions():
         geo_lprime = languages._factors(g, languages._GEO_LPRIME)
         shortlex = languages._factors(g, languages._SHORTLEX)
         for v in range(g.n_vertices):
-            checker = languages._geo_checker_direct(g, alphabet, v)
+            checker = reference_languages.geo_checker_direct(g, alphabet, v)
             lprime = languages._lprime_direct(g, alphabet, v)
             threats = [reference_languages.lex_threat(g, alphabet, a, b)
                        for w in g.neighbors(v) if w > v
@@ -626,8 +626,9 @@ def test_per_vertex_factors_equal_their_direct_constructions():
 
 def test_letter_class_models_stay_tiny():
     # the six models are all the per-vertex work done at import: the
-    # checker, its closed complement, L'_v, their intersection, the cyclic
-    # checker and its unwrapped accept set, all on the 4-vertex model graph
+    # geodesic checker and its cyclic form, L'_v, its intersection with the
+    # checker, the cyclic checker and its unwrapped accept set, all on the
+    # 4-vertex model graph
     models = [languages._GEO, languages._CYC_GEO, languages._LPRIME, languages._GEO_LPRIME,
               languages._CYC_AVOID, languages._SHORTLEX]
     assert [m.n_states for m in models] == [4, 11, 6, 8, 17, 5]

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -134,6 +135,13 @@ def test_poly_gcd_zero_and_constant_operands():
 def test_zz_squared_is_z2_growth():
     sq = ZZ * ZZ
     assert sq.expand(5).coefficients == (1, 4, 8, 12, 16, 20)
+
+
+@pytest.mark.parametrize("value", [2.7, True, Fraction(5, 2)], ids=["float", "bool", "fraction"])
+def test_from_list_rounds_nothing(value):
+    with pytest.raises(ValueError, match="must be ints"):
+        PowerSeries.from_list([0, value])
+    assert PowerSeries.from_list([0, 2, 1]).coefficients == (0, 2, 1)
 
 
 def test_mul_by_one_identity():
