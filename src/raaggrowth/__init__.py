@@ -27,9 +27,7 @@ from .languages import (
     conjgeo_series_incl_excl,
     cycsl_fsa,
     cycsl_support_series,
-    geo_checker,
     geo_fsa,
-    lprime_fsa,
     shortlex_fsa,
 )
 from .oracle import (

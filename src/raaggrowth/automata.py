@@ -121,6 +121,7 @@ acceptor, is refused: its swap would act on two factors at once.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
 from operator import and_, or_
 
@@ -150,6 +151,9 @@ class Dfa:
         self.accepting = frozenset(accepting)
         if n_states < 1:
             raise ValueError("a complete DFA needs at least its initial state")
+        # one C-level pass over every state named; bool is an int subclass, and floats are not rounded
+        if not {int}.issuperset(map(type, chain((initial,), self.transitions, self.accepting))):
+            raise ValueError("states must be ints")
         if len(self.transitions) != n_states * alphabet.size:
             raise ValueError("transition table size does not match state count")
         if not 0 <= initial < n_states:
@@ -569,8 +573,6 @@ def _fold(result: Dfa, pieces, keep) -> Dfa:
 def count_words(dfa: Dfa, max_degree: int) -> tuple:
     """Accepted-word counts of lengths 0..max_degree: the expansion of
     ``growth_series``."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     return growth_series(dfa).expand(max_degree).coefficients
 
 

@@ -88,9 +88,9 @@ class SimpleGraph:
             raise GraphError("duplicate vertex label")
         edges = set()
         for pair in edge_pairs:
-            pair = tuple(pair)
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:  # a string or a dict is no pair
                 raise GraphError(f"edge {pair!r} is not a pair")
+            pair = tuple(pair)
             ends = []
             for end in pair:
                 if isinstance(end, str):

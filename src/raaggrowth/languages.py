@@ -11,10 +11,11 @@ Given a defining graph, this module builds complete DFAs for:
                       as an intersection of per-vertex cyclic checkers;
 * ``conjgeo_fsa``  -- conjugacy geodesics = words all of whose rotations are
                       geodesic, as an intersection of per-vertex cyclic
-                      geodesic checkers;
-* ``lprime_fsa``   -- words with a cancelling generator pair up to rotation
-                      and shuffling, used for the inclusion-exclusion route to
-                      the conjugacy geodesic growth series.
+                      geodesic checkers.
+
+``conjgeo_series_incl_excl`` counts the conjugacy geodesics a second way, by
+inclusion-exclusion over the words with a cancelling generator pair up to
+rotation and shuffling.
 
 Each language is an intersection of per-vertex conditions, each a
 letter-class model (below) pulled back to the vertex, and there are two
@@ -135,7 +136,7 @@ def _divided_fold(g: SimpleGraph, model: Dfa) -> Dfa:
 # the forbidden-factor table and its four models
 # ---------------------------------------------------------------------------
 
-def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+def _cyc_avoid_direct(g: SimpleGraph, v: int) -> Dfa:
     """Words with no factor ``f s l``, l a letter of v, not even wrapped around the end.
 
     f is l^-1 or a letter b > l on a vertex adjacent to v, and s commutes with
@@ -150,6 +151,7 @@ def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     for l_i, kept by letters commuting with v and cleared by others; l_i on
     it is dead, and at the end it wraps onto a leading l_i if first = 1 + i.
     """
+    alphabet = g.alphabet()
     own = alphabet.vertex_letters(v)
     letters = range(alphabet.size)
     near = [g.adjacent(alphabet.vertex(x), v) for x in letters]
@@ -170,7 +172,7 @@ def _cyc_avoid_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
 # The direct table reads a letter only by its class in ``_classes`` (a
 # neighbour's letter x > l for the letters l of v exactly when its vertex
 # comes after v), so each raw pullback of the model is the direct table.
-_CYC_AVOID = _cyc_avoid_direct(_CHAIN, _CHAIN.alphabet(), 1)
+_CYC_AVOID = _cyc_avoid_direct(_CHAIN, 1)
 
 
 # Every live state accepting: the forbidden factors inside the word only,
@@ -192,16 +194,6 @@ _CYC_GEO = minimize(_pullback(_CYC_AVOID, _CHAIN.alphabet(), [0, 1, 0, 3]))
 # ---------------------------------------------------------------------------
 # geodesics and shortlex normal forms
 # ---------------------------------------------------------------------------
-
-def geo_checker(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
-    """Minimal checker rejecting words where some shuffle cancels an x_v pair.
-
-    Such a shuffle exists exactly when the word has a factor x_v^e s x_v^-e
-    with every letter of s on a vertex adjacent to v.  The checker is the
-    minimized pullback of the model ``_GEO`` through ``_classes(g, v)``.
-    """
-    return minimize(_pullback(_GEO, alphabet, _classes(g, v)))
-
 
 def geo_fsa(g: SimpleGraph) -> Dfa:
     """Geodesic words of the group: the ``_acceptor`` of the pulled-back checkers ``_GEO``."""
@@ -256,7 +248,7 @@ def cycsl_fsa(g: SimpleGraph) -> Dfa:
 
     A word is shortlex exactly when it has no forbidden factor f s l: a lex
     threat b s l with b > l on a vertex adjacent to l's, or a geodesic pair
-    l^-1 s l (``geo_checker``), s over the letters commuting with l.
+    l^-1 s l (the model ``_GEO``), s over the letters commuting with l.
 
     Lemma.  Let w be shortlex.  Some rotation of w is not shortlex exactly
     when a forbidden factor f s l wraps around the end of w.  Then l, on
@@ -378,7 +370,7 @@ def cycsl_support_series(g: SimpleGraph, subset) -> RationalFunction:
 # inclusion-exclusion route to the conjugacy geodesic series
 # ---------------------------------------------------------------------------
 
-def _bracket(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -> Dfa:
+def _bracket(g: SimpleGraph, first: int, last: int) -> Dfa:
     """Words w1 ``first`` w2 ``last`` w3, w1 and w3 over letters commuting with ``first``.
 
     States: start (reading w1) / open (``first`` read) / closed (``last``
@@ -386,6 +378,7 @@ def _bracket(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -
     extend w3 moves the closing ``last`` into w2 and reopens.
     """
     start, opened, closed, dead = range(4)
+    alphabet = g.alphabet()
     nbrs = g.neighbors(alphabet.vertex(first))
     letters = range(alphabet.size)
     border = [alphabet.vertex(x) in nbrs for x in letters]
@@ -396,7 +389,7 @@ def _bracket(g: SimpleGraph, alphabet: OrderedAlphabet, first: int, last: int) -
     return Dfa(alphabet, 4, table, start, {closed})
 
 
-def _lprime_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
+def _lprime_direct(g: SimpleGraph, v: int) -> Dfa:
     """Words w1 x_v^e w2 x_v^-e w3 with w1, w3 over the neighbors of v.
 
     These are exactly the words that, after some rotation and shuffling,
@@ -405,21 +398,12 @@ def _lprime_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa:
     vertex is not a neighbor of v; symmetrically for the closing letter.  The
     minimal union of the two ``_bracket`` automata, one per sign e.
     """
-    pos, neg = alphabet.vertex_letters(v)
-    return union(_bracket(g, alphabet, pos, neg), _bracket(g, alphabet, neg, pos))
+    pos, neg = g.alphabet().vertex_letters(v)
+    return union(_bracket(g, pos, neg), _bracket(g, neg, pos))
 
 
-_LPRIME = _lprime_direct(_CHAIN, _CHAIN.alphabet(), 1)
+_LPRIME = _lprime_direct(_CHAIN, 1)
 _GEO_LPRIME = intersect(_GEO, _LPRIME)  # L_v & L'_v
-
-
-def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
-    """Words w1 x_v^e w2 x_v^-e w3 with w1, w3 over the neighbors of v.
-
-    The minimized pullback of the model ``_LPRIME`` through ``_classes(g, v)``:
-    the automaton ``_lprime_direct(g, g.alphabet(), v)`` builds.
-    """
-    return minimize(_pullback(_LPRIME, g.alphabet(), _classes(g, v)))
 
 
 def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
@@ -428,7 +412,7 @@ def conjgeo_series_incl_excl(g: SimpleGraph) -> RationalFunction:
     Independent of the cyclic-closure route: subtracts, for every vertex
     subset T, the geodesics that carry a shuffle-rotatable cancelling pair at
     each vertex of T, with alternating signs.  Those words are the
-    intersection over v of L_v (``geo_checker``) for v outside T and of
+    intersection over v of L_v (the model ``_GEO`` at v) for v outside T and of
     L_v & L'_v (the model ``_GEO_LPRIME``) for v in T, so each vertex has two
     factors, each divided by its sign swap (``_divided_factors``).  The product
     lemma in ``automata`` makes the product of the divided factors count the

@@ -164,6 +164,8 @@ class PowerSeries:
 
     @staticmethod
     def one(max_degree: int) -> "PowerSeries":
+        if max_degree < 0:
+            raise ValueError("max_degree must be nonnegative")
         return PowerSeries((1,) + (0,) * max_degree)
 
     @property
@@ -282,6 +284,8 @@ class RationalFunction:
 
     def expand(self, max_degree: int) -> PowerSeries:
         """Taylor coefficients to ``max_degree`` via the linear recurrence."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be nonnegative")
         if self.den[0] == 0:
             raise ZeroDivisionError("denominator constant term is zero")
         d0 = self.den[0]
@@ -365,11 +369,13 @@ def neck(f: PowerSeries) -> PowerSeries:
     1/(1 - f), an integer series, which is equivalent to the Gauss
     congruences that make every coefficient of ``rho`` an integer.  So the
     exactness check inside ``rho`` never fires here.
+
+    The c_m come from one recurrence: c = z f' + f c, so c_m = m f_m + sum
+    over 0 < i < m of f_i c_{m-i}, with c_0 = 0.
     """
     if f[0] != 0:
         raise ValueError("neck requires a series with zero constant term")
-    inverse = [1]  # 1/(1 - f) by its recurrence
+    c = [0]
     for m in range(1, f.max_degree + 1):
-        inverse.append(sum(f[i] * inverse[m - i] for i in range(1, m + 1)))
-    derivative = PowerSeries(tuple(m * c for m, c in enumerate(f.coefficients)))  # z f'
-    return rho(derivative * PowerSeries(tuple(inverse)))
+        c.append(m * f[m] + sum(f[i] * c[m - i] for i in range(1, m)))
+    return rho(PowerSeries(tuple(c)))

@@ -30,7 +30,9 @@
   and sums F_B once per class of B, each class of subsets with its signed
   count, instead.
 
-The tests compare each pair of constructions.
+The tests compare each pair of constructions.  ``geo_checker`` and
+``lprime_fsa`` are no references: they read one vertex's geodesic checker and
+L'_v off the library's models, for the tests of a single per-vertex factor.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from itertools import chain
 
 from raaggrowth.automata import (
     Dfa,
+    _pullback,
     all_words_dfa,
     complement_lang,
     cyc_perm,
     growth_series,
     intersect,
+    minimize,
     restricted_growth_series,
     vertex_quotient,
 )
@@ -99,6 +103,16 @@ def geo_checker_direct(g: SimpleGraph, alphabet: OrderedAlphabet, v: int) -> Dfa
     """
     pos, neg = alphabet.vertex_letters(v)
     return intersect(avoid(g, alphabet, pos, neg), avoid(g, alphabet, neg, pos))
+
+
+def geo_checker(g: SimpleGraph, v: int) -> Dfa:
+    """The library's geodesic checker at v: the model ``_GEO`` pulled back through ``_classes(g, v)``, minimized."""
+    return minimize(_pullback(languages._GEO, g.alphabet(), languages._classes(g, v)))
+
+
+def lprime_fsa(g: SimpleGraph, v: int) -> Dfa:
+    """The library's L'_v: the model ``_LPRIME`` pulled back through ``_classes(g, v)``, minimized."""
+    return minimize(_pullback(languages._LPRIME, g.alphabet(), languages._classes(g, v)))
 
 
 def shortlex_fsa(g: SimpleGraph) -> Dfa:

@@ -76,6 +76,10 @@ def test_epsilon_and_empty():
     (2, [0, 1, 1, 0], 0, {2}, "accepting state out of range"),
     (2, [0, 1, 1, 0], 0, {-1}, "accepting state out of range"),
     (0, [], 0, set(), "at least its initial state"),  # no state to start in or to accept
+    (2, [0, 1, 1, 0], 0.5, {0}, "states must be ints"),
+    (2, [0, 1.0, 1, 0], 0, {0}, "states must be ints"),
+    (2, [0, 1, 1, 0], 0, {1.0}, "states must be ints"),
+    (2, [0, True, 1, 0], 0, {0}, "states must be ints"),  # bool is an int subclass
 ])
 def test_dfa_rejects_malformed_table(n_states, table, initial, accepting, message):
     with pytest.raises(ValueError, match=message):

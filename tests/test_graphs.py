@@ -45,6 +45,13 @@ def test_make_takes_only_labels_and_int_indices(edge):
         SimpleGraph.make(["a", "b"], [edge])
 
 
+@pytest.mark.parametrize("edge", ["ab", {"a": 1, "b": 2}, None], ids=["str", "dict", "none"])
+def test_make_takes_only_list_or_tuple_pairs(edge):
+    # a string or a dict of two keys iterates to two labels, but is no edge
+    with pytest.raises(GraphError, match="is not a pair"):
+        SimpleGraph.make(["a", "b"], [edge])
+
+
 def test_complement_path(path4):
     comp = path4.complement()
     assert sorted(comp.edges) == [(0, 2), (0, 3), (1, 3)]  # path c-a-d-b

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 import reference_automata
 import reference_languages
+from reference_languages import geo_checker, lprime_fsa
 from conftest import (
     all_three_vertex_graphs, complete_graph, cycle_graph, labelled_graphs, path_graph, small_graphs,
 )
@@ -21,11 +22,9 @@ from raaggrowth import (
     cycsl_fsa,
     cycsl_support_series,
     equivalent,
-    geo_checker,
     geo_fsa,
     growth_series,
     intersect,
-    lprime_fsa,
     minimize,
     shortlex_fsa,
     single_word_dfa,
@@ -47,7 +46,7 @@ def is_sublanguage(small, big):
 # -- geodesic checkers ---------------------------------------------------------
 
 def test_geo_checker_single_vertex(z1):
-    d = geo_checker(z1, z1.alphabet(), 0)
+    d = geo_checker(z1, 0)
     assert not d.accepts((0, 1)) and not d.accepts((1, 0))
     for k in range(1, 5):
         assert d.accepts((0,) * k) and d.accepts((1,) * k)
@@ -55,14 +54,14 @@ def test_geo_checker_single_vertex(z1):
 
 def test_geo_checker_blocked_shuffle(f2):
     # a b a^-1 over the free group: b blocks the cancellation
-    d = geo_checker(f2, f2.alphabet(), 0)
+    d = geo_checker(f2, 0)
     assert d.accepts((0, 2, 1))
     assert not d.accepts((0, 1))
 
 
 def test_geo_checker_repeated_inverse(z1):
     # a^-1 a^-1 a contains a cancelling pair and must be rejected
-    d = geo_checker(z1, z1.alphabet(), 0)
+    d = geo_checker(z1, 0)
     assert not d.accepts((1, 1, 0))
 
 
@@ -183,9 +182,8 @@ def test_acceptors_are_canonical(build):
 def test_constraint_automata_are_canonical():
     # the per-vertex automata end in an intersection or a union, which minimize
     for g in _graphs_up_to_three_vertices():
-        alphabet = g.alphabet()
         for v in range(g.n_vertices):
-            checker = geo_checker(g, alphabet, v)
+            checker = geo_checker(g, v)
             assert checker.n_states == 4, (g.vertices, v)
             for automaton in (checker, lprime_fsa(g, v)):
                 assert minimize(automaton).encode() == automaton.encode(), (g.vertices, v)
@@ -542,7 +540,7 @@ def test_constraint_automata_match_factor_definitions():
         words = _words_up_to(alphabet.size, 4)
         for v in range(g.n_vertices):
             pos, neg = alphabet.vertex_letters(v)
-            checker, lprime = geo_checker(g, alphabet, v), lprime_fsa(g, v)
+            checker, lprime = geo_checker(g, v), lprime_fsa(g, v)
             for word in words:
                 geodesic = not (_has_factor(g, alphabet, word, pos, neg)
                                 or _has_factor(g, alphabet, word, neg, pos))
@@ -587,9 +585,8 @@ def test_cycsl_matches_rotation_definition(g):
 def test_conjgeo_routes_share_no_automaton(g):
     # the incl-excl route is an independent check on the cyclic-closure route
     # only while its L'_v is not the closed checker complement under another name
-    alphabet = g.alphabet()
     for v in range(g.n_vertices):
-        closed = cyc_perm(complement_lang(geo_checker(g, alphabet, v)))
+        closed = cyc_perm(complement_lang(geo_checker(g, v)))
         assert closed.encode() != minimize(lprime_fsa(g, v)).encode(), v
 
 
@@ -609,15 +606,15 @@ def test_per_vertex_factors_equal_their_direct_constructions():
         shortlex = languages._factors(g, languages._SHORTLEX)
         for v in range(g.n_vertices):
             checker = reference_languages.geo_checker_direct(g, alphabet, v)
-            lprime = languages._lprime_direct(g, alphabet, v)
+            lprime = languages._lprime_direct(g, v)
             threats = [reference_languages.lex_threat(g, alphabet, a, b)
                        for w in g.neighbors(v) if w > v
                        for a in alphabet.vertex_letters(v) for b in alphabet.vertex_letters(w)]
             for got, want in [
-                (geo_checker(g, alphabet, v), checker),
+                (geo_checker(g, v), checker),
                 (lprime_fsa(g, v), lprime),
                 (minimize(closed[v]), complement_lang(cyc_perm(complement_lang(checker)))),
-                (cyclic[v], languages._cyc_avoid_direct(g, alphabet, v)),
+                (cyclic[v], languages._cyc_avoid_direct(g, v)),
                 (minimize(geo_lprime[v]), intersect(checker, lprime)),
                 (minimize(shortlex[v]), functools.reduce(intersect, threats, checker)),
             ]:
@@ -643,10 +640,10 @@ def test_sign_quotient_keeps_every_count_of_the_route_factors():
     # checker (conjugacy growth) and the checker & L'_v (incl-excl)
     graphs = [g for n in range(5) for g in labelled_graphs([f"v{i}" for i in range(n)])]
     for g in graphs + [path_graph(5), cycle_graph(5)]:
-        alphabet, n = g.alphabet(), g.n_vertices
+        n = g.n_vertices
         cyclic = languages._factors(g, languages._CYC_AVOID)
         for v in range(n):
-            checker = geo_checker(g, alphabet, v)
+            checker = geo_checker(g, v)
             for factor in (checker, cyc_perm(complement_lang(checker)),
                            cyclic[v], intersect(checker, lprime_fsa(g, v))):
                 divided = automata._sign_quotient(factor, v)

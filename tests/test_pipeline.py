@@ -18,7 +18,9 @@ from conftest import (
 from raaggrowth import (
     GraphError,
     SimpleGraph,
+    all_words_dfa,
     cograph_series,
+    count_words,
     cycsl_fsa,
     growth_series,
     spherical_conj_series,
@@ -250,6 +252,20 @@ def test_part1_unknown_family():
         part1_crosscheck("hexagon", 6)
     with pytest.raises(ValueError):
         part1_crosscheck("free-0", 6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PowerSeries.one(-1),
+    lambda: RationalFunction.make([1], [1, -1]).expand(-1),
+    lambda: count_words(all_words_dfa(path_graph(2).alphabet()), -1),
+    lambda: part1_crosscheck("path4", -1),
+    lambda: part1_crosscheck("free-3", -1),
+], ids=["one", "expand", "count_words", "part1-path4", "part1-free-3"])
+def test_negative_degree_is_refused_with_one_message(call):
+    # the series layer checks the degree where it builds a truncated series,
+    # so no negative degree gives a degree-0 series or another layer's message
+    with pytest.raises(ValueError, match="^max_degree must be nonnegative$"):
+        call()
 
 
 def test_detect_part1_family(path4, f2):
