@@ -53,9 +53,6 @@ def _parse_series_argument(text: str) -> PowerSeries:
     if len(values) > MAX_DEGREE + 1:
         raise ValueError(f"--series has {len(values)} coefficients, at most {MAX_DEGREE + 1} "
                          f"(degree {MAX_DEGREE}) are allowed")
-    for v in values:
-        if type(v) is not int:  # bool is an int subclass; floats and strings are not coerced
-            raise ValueError(f"series coefficients must be JSON integers, got {json.dumps(v)}")
     return PowerSeries.from_list(values)
 
 

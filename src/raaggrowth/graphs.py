@@ -82,15 +82,14 @@ class SimpleGraph:
     @staticmethod
     def make(vertices, edge_pairs) -> "SimpleGraph":
         """Build from labels and edges given as label or index pairs."""
+        if not isinstance(vertices, (list, tuple)):  # a string splits, a set lists in hash order
+            raise GraphError(f"vertices must be a list or tuple of labels, not a {type(vertices).__name__}")
         vertices = tuple(vertices)
         index = {label: i for i, label in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise GraphError("duplicate vertex label")
         edges = set()
         for pair in edge_pairs:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:  # a string or a dict is no pair
                 raise GraphError(f"edge {pair!r} is not a pair")
-            pair = tuple(pair)
             ends = []
             for end in pair:
                 if isinstance(end, str):
@@ -102,8 +101,6 @@ class SimpleGraph:
                 else:
                     raise GraphError(f"endpoint {end!r} is neither a vertex label nor an index")
             i, j = ends
-            if i == j:
-                raise GraphError(f"loop edge at {pair!r}")
             edges.add((min(i, j), max(i, j)))
         return SimpleGraph(vertices, frozenset(edges))
 
@@ -117,8 +114,6 @@ class SimpleGraph:
     # -- basic graph operations --------------------------------------------
 
     def adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
         return (min(i, j), max(i, j)) in self.edges
 
     def neighbors(self, v: int) -> frozenset[int]:

@@ -71,8 +71,7 @@ class ConjGrowthReport:
 
 def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
     """Spherical conjugacy growth series, truncated at ``degree``."""
-    if degree < 0:
-        raise ValueError("truncation degree must be nonnegative")
+    total = PowerSeries.one(degree)  # refuses a negative degree before any table work
     n = g.n_vertices
     if n > MAX_VERTICES:
         raise GraphError(f"graph has {n} vertices, above the bound {MAX_VERTICES}")
@@ -90,7 +89,6 @@ def spherical_conj_series(g: SimpleGraph, degree: int) -> ConjGrowthReport:
             elif rf.num != (0,):  # F_B = 0 by the decomposable-block lemma of cycsl_support_table
                 raise InvariantError(f"decomposable block {block} has a nonzero series")
 
-    total = PowerSeries.one(degree)
     for mask in range(1, 1 << n):
         subset = [v for v in range(n) if mask >> v & 1]
         product = PowerSeries.one(degree)
@@ -188,14 +186,14 @@ def part1_crosscheck(expr: str, degree: int) -> PowerSeries:
         k = int(expr.split("-", 1)[1])
         if k < 1:
             raise ValueError("free rank must be >= 1")
-        return cograph_series(SimpleGraph.make(map(str, range(k)), []), degree)[1]
+        return cograph_series(SimpleGraph.make([str(i) for i in range(k)], []), degree)[1]
 
     if expr.startswith("z-star-z-"):
         n = int(expr.rsplit("-", 1)[1])
         if n < 1:
             raise ValueError("abelian rank must be >= 1")
         clique = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        return cograph_series(SimpleGraph.make(map(str, range(n + 1)), clique), degree)[1]
+        return cograph_series(SimpleGraph.make([str(i) for i in range(n + 1)], clique), degree)[1]
 
     if expr == "path4":
         square = poly_mul(_ONE_MINUS_Z, _ONE_MINUS_Z)

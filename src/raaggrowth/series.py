@@ -266,15 +266,12 @@ class RationalFunction:
         """
         a, b = self.num, self.den
         g = poly_gcd(b, d)
+        b = poly_divide_exact(b, g)
+        t = poly_add(poly_mul(a, poly_divide_exact(d, g)), poly_mul(c, b))
+        g = poly_gcd(t, g)
         if len(g) > 1:
-            b = poly_divide_exact(b, g)
-            t = poly_add(poly_mul(a, poly_divide_exact(d, g)), poly_mul(c, b))
-            g = poly_gcd(t, g)
-            if len(g) > 1:
-                t = poly_divide_exact(t, g)
-                d = poly_divide_exact(d, g)
-        else:
-            t = poly_add(poly_mul(a, d), poly_mul(c, b))
+            t = poly_divide_exact(t, g)
+            d = poly_divide_exact(d, g)
         if not t:
             return RationalFunction((0,), (1,))
         return RationalFunction._scaled(t, poly_mul(b, d))

@@ -171,6 +171,14 @@ def test_series_rejects_non_integer_values(capsys, value):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+def test_series_type_is_checked_by_the_series_layer(capsys):
+    code = main(["rho", "--series", "[0, true, 2]"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: series coefficients must be ints, got True\n"
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("conj-growth", "--max-degree", "100000000000"),
     ("std-growth", "--expand", str(MAX_DEGREE + 1)),

@@ -52,6 +52,29 @@ def test_make_takes_only_list_or_tuple_pairs(edge):
         SimpleGraph.make(["a", "b"], [edge])
 
 
+@pytest.mark.parametrize("vertices", ["abc", {"a", "b", "c"}, iter(["a", "b", "c"])],
+                         ids=["str", "set", "iterator"])
+def test_make_takes_only_a_list_or_tuple_of_labels(vertices):
+    # a string splits into letters and a set lists its labels in hash order
+    with pytest.raises(GraphError, match="must be a list or tuple of labels"):
+        SimpleGraph.make(vertices, [])
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    (["a"], [["a", "a"]], "^loop edge at vertex 'a'$"),
+    (["a", "b"], [[0, 0]], "^loop edge at vertex 'a'$"),
+    (["a", "a"], [], "^duplicate vertex label$"),
+], ids=["loop-label", "loop-index", "duplicate"])
+def test_make_leaves_label_and_loop_checks_to_the_constructor(vertices, edges, message):
+    with pytest.raises(GraphError, match=message):
+        SimpleGraph.make(vertices, edges)
+
+
+def test_no_vertex_is_adjacent_to_itself(path4):
+    for g in (complete_graph(4), path4):
+        assert not any(g.adjacent(v, v) for v in range(g.n_vertices))
+
+
 def test_complement_path(path4):
     comp = path4.complement()
     assert sorted(comp.edges) == [(0, 2), (0, 3), (1, 3)]  # path c-a-d-b

@@ -40,6 +40,14 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
+def test_sources_have_no_assert():
+    # invariants raise typed errors; python -O strips an assert
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
+
+
 # Counts the calls into raaggrowth/automata.py by function name while the
 # package is imported; run in a fresh interpreter, where nothing is cached.
 IMPORT_CALLS = """

@@ -260,7 +260,8 @@ def test_part1_unknown_family():
     lambda: count_words(all_words_dfa(path_graph(2).alphabet()), -1),
     lambda: part1_crosscheck("path4", -1),
     lambda: part1_crosscheck("free-3", -1),
-], ids=["one", "expand", "count_words", "part1-path4", "part1-free-3"])
+    lambda: spherical_conj_series(path_graph(4), -1),
+], ids=["one", "expand", "count_words", "part1-path4", "part1-free-3", "spherical_conj_series"])
 def test_negative_degree_is_refused_with_one_message(call):
     # the series layer checks the degree where it builds a truncated series,
     # so no negative degree gives a degree-0 series or another layer's message
